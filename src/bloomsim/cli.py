@@ -125,37 +125,22 @@ def _wind_from(section: dict | None, base_dir: Path):
     raise ConfigError(f"unknown wind mode {mode!r}")
 
 
-def _initial_1d(section: dict | None, grid: Grid1D, params: ModelParams) -> Field1D:
+def _initial(field_cls, section: dict | None, domain, params: ModelParams,
+             keys: set, context: str):
+    # initial fields of sim1d (Field1D on a grid) and sim2d (Field2D on a mesh)
     section = dict(section or {"kind": "bump"})
-    _reject_unknown(section, _SECTION_KEYS["initial_1d"], "sim1d.initial")
+    _reject_unknown(section, keys, context)
     kind = section.pop("kind", "bump")
     if kind == "uniform":
-        return Field1D.uniform(
-            grid,
+        return field_cls.uniform(
+            domain,
             float(section.get("B", 5.0)),
             float(section.get("Q", 0.02)),
             float(section.get("P", params.P_h)),
         )
     if kind == "bump":
         section.setdefault("P0", params.P_h if params.P_h > 0 else 0.005)
-        return Field1D.bump(grid, **{k: float(v) for k, v in section.items()})
-    raise ConfigError(f"unknown initial kind {kind!r}")
-
-
-def _initial_2d(section: dict | None, mesh, params: ModelParams) -> Field2D:
-    section = dict(section or {"kind": "bump"})
-    _reject_unknown(section, _SECTION_KEYS["initial_2d"], "sim2d.initial")
-    kind = section.pop("kind", "bump")
-    if kind == "uniform":
-        return Field2D.uniform(
-            mesh,
-            float(section.get("B", 5.0)),
-            float(section.get("Q", 0.02)),
-            float(section.get("P", params.P_h)),
-        )
-    if kind == "bump":
-        section.setdefault("P0", params.P_h if params.P_h > 0 else 0.005)
-        return Field2D.bump(mesh, **{k: float(v) for k, v in section.items()})
+        return field_cls.bump(domain, **{k: float(v) for k, v in section.items()})
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
@@ -260,7 +245,8 @@ def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
     section = config.get("sim1d", {})
     grid = Grid1D(float(section.get("L", 1000.0)), int(section.get("Nx", 101)))
     wind = _wind_from(section.get("wind"), base_dir)
-    initial = _initial_1d(section.get("initial"), grid, params)
+    initial = _initial(Field1D, section.get("initial"), grid, params,
+                       _SECTION_KEYS["initial_1d"], "sim1d.initial")
     t_end = float(section.get("t_end", 365.0))
     sample_times = np.linspace(0.0, t_end, int(section.get("samples", 25)))
     traj = integrate_1d(
@@ -299,7 +285,8 @@ def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
             raise ConfigError(f"mesh file not found: {path}")
         mesh = load_gmsh_mesh(path)
     wind = _wind_from(section.get("wind"), base_dir)
-    initial = _initial_2d(section.get("initial"), mesh, params)
+    initial = _initial(Field2D, section.get("initial"), mesh, params,
+                       _SECTION_KEYS["initial_2d"], "sim2d.initial")
     t_end = float(section.get("t_end", 50.0))
     output_times = section.get("output_times", list(np.linspace(0.0, t_end, 6)))
     snaps = simulate_2d(

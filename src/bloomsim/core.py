@@ -11,6 +11,21 @@ All functions here are pure and accept scalars or NumPy arrays where that is
 meaningful, so they can be cross-checked against independent oracles and
 called from any number of concurrent workers.
 
+The reaction terms have one implementation, the private array kernel
+``_reaction_kernel``: the scalar :func:`reaction_rhs` and
+:func:`reaction_jacobian`, the 1D right-hand side and the 2D Newton step all
+call it.  It takes the inverse growth quota as an input, and each caller
+chooses it in one line:
+
+* homogeneous system and stability: B/p, or 1/q_hat where B <= EPS_B;
+* 1D transect: 1/clip(Q, Q_m, Q_M) from the evolved quota;
+* 2D lake: B/(p + EPS_P), regularized so that no branch is needed.
+
+Nonlinear coefficients are evaluated at states clipped to >= 0 and the linear
+loss and exchange terms at the raw states.  Domain checks stay in the public
+kernels (:func:`growth_h`, :func:`uptake_rho`, ...); the array kernel does not
+repeat them.
+
 Units follow the parameter table in :class:`ModelParams`: biomass in mgC/m2,
 phosphorus pools in mgP/m2, time in days, lengths in metres.
 """
@@ -19,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,9 +203,7 @@ class HomState:
 
     def quota(self, params: ModelParams) -> float:
         """Cell quota p/B, or q_hat(params) when B is (numerically) zero."""
-        if self.B > EPS_B:
-            return self.p / self.B
-        return q_hat(params)
+        return _quota(self.B, self.p, params)
 
     def check_quota(self, params: ModelParams, tol: float = 1e-9) -> None:
         """Raise unless Q_m <= p/B <= Q_M (within tol) whenever B > 0."""
@@ -228,9 +242,7 @@ def growth_h(B, params: ModelParams):
     B = np.asarray(B, dtype=float)
     if np.any(B < 0):
         raise DomainError("biomass B must be >= 0")
-    g = params.z_m * (params.k * B + params.K_bg)
-    I_bottom = params.I_in * np.exp(-g)
-    out = np.log((params.H + params.I_in) / (params.H + I_bottom)) / g
+    out = _growth_h(B, params)
     return float(out) if out.ndim == 0 else out
 
 
@@ -247,12 +259,20 @@ def growth_h_prime(B, params: ModelParams):
     B = np.asarray(B, dtype=float)
     if np.any(B < 0):
         raise DomainError("biomass B must be >= 0")
+    out = _growth_h(B, params, derivative=True)[1]
+    return float(out) if out.ndim == 0 else out
+
+
+def _growth_h(B, params: ModelParams, derivative: bool = False):
+    # h(B), or (h(B), h'(B)) with ``derivative``, sharing the light profile;
+    # B >= 0 is the caller's to ensure (see growth_h)
     g = params.z_m * (params.k * B + params.K_bg)
     I_bottom = params.I_in * np.exp(-g)
     num = np.log((params.H + params.I_in) / (params.H + I_bottom))
+    if not derivative:
+        return num / g
     dnum_dg = I_bottom / (params.H + I_bottom)
-    out = params.z_m * params.k * (dnum_dg * g - num) / g**2
-    return float(out) if out.ndim == 0 else out
+    return num / g, params.z_m * params.k * (dnum_dg * g - num) / g**2
 
 
 def uptake_rho(Q, P, params: ModelParams):
@@ -341,6 +361,90 @@ def b_bar(params: ModelParams) -> float:
     return (growth_ceiling - params.K_bg) / params.k
 
 
+def _quota(B, p, params: ModelParams):
+    """Cell quota p/B, or q_hat(params) wherever B <= EPS_B.
+
+    The one home of the extinction fallback (p/B is 0/0 there), in a
+    scalar form for the hot homogeneous kernels and a nodewise form.
+    """
+    if isinstance(B, np.ndarray):
+        return np.where(B > EPS_B, p / np.maximum(B, EPS_B), q_hat(params))
+    return p / B if B > EPS_B else q_hat(params)
+
+
+def _homogeneous_q_inv(B: float, p: float, params: ModelParams) -> float:
+    # inverse growth quota of the homogeneous system: B/p, or 1/q_hat at
+    # extinction
+    quota = _quota(B, p, params)
+    if not quota > 0:
+        raise DomainError("B > 0 with p = 0: cell quota undefined below Q_m")
+    return 1.0 / quota
+
+
+class _Reactions(NamedTuple):
+    rates: np.ndarray              # (3, n) rows dB, dp, dP
+    jacobian: np.ndarray | None    # (3, 3, n) d(rates)/d(B, p, P), on request
+    h: np.ndarray                  # growth_h at the clipped biomass
+    uptake: np.ndarray             # rho_m/(Q_M - Q_m) P/(P + M), clipped P
+
+
+def _reaction_kernel(
+    B, p, P, q_inv, params: ModelParams, jacobian: bool = False
+) -> _Reactions:
+    """The pointwise reaction terms, the only implementation of them.
+
+    Evaluates at nodewise arrays (or scalars) of B, p, P with the inverse
+    growth quota ``q_inv`` the caller chooses, so the growth factor is
+    ``1 - Q_m q_inv``.  Nonlinear coefficients see the states clipped to
+    >= 0, so slightly negative trial iterates cannot blow up; the linear
+    loss and exchange terms see the raw states, which keeps the uptake and
+    recycling cancellation between the p and P rows exact.  The Jacobian
+    ignores the slope of the clamp and differentiates ``q_inv`` as
+    B/(p + c) for a constant c, exactly what the ODE and 2D quotas are.
+    No domain checks: the public kernels hold them.
+    """
+    Bc = np.maximum(B, 0.0)
+    pc = np.maximum(p, 0.0)
+    Pc = np.maximum(P, 0.0)
+    loss = params.total_loss
+    uptake = _rho_tilde(Pc, params)
+    if jacobian:
+        h, h_prime = _growth_h(Bc, params, derivative=True)
+    else:
+        h = _growth_h(Bc, params)
+    eta = uptake * (params.Q_M * Bc - pc)
+    rates = np.array(
+        [
+            params.r * (1.0 - params.Q_m * q_inv) * h * Bc - loss * B,
+            eta - loss * p,
+            params.exchange * (params.P_h - P) + params.P_in - eta + params.l * p,
+        ]
+    )
+    if not jacobian:
+        return _Reactions(rates, None, h, uptake)
+
+    a11 = (
+        params.r * (1.0 - 2.0 * params.Q_m * q_inv) * h
+        + params.r * (1.0 - params.Q_m * q_inv) * h_prime * Bc
+        - loss
+    )
+    a12 = params.r * params.Q_m * q_inv**2 * h
+    a21 = params.Q_M * uptake
+    a23 = (
+        params.rho_m / (params.Q_M - params.Q_m)
+        * (params.Q_M * Bc - pc)
+        * params.M / (Pc + params.M) ** 2
+    )
+    jac = np.array(
+        [
+            [a11, a12, np.zeros(Bc.shape)],
+            [a21, -uptake - loss, a23],
+            [-a21, uptake + params.l, -params.exchange - a23],
+        ]
+    )
+    return _Reactions(rates, jac, h, uptake)
+
+
 def reaction_rhs(state: HomState, params: ModelParams) -> np.ndarray:
     """Movement-free rates (dB/dt, dp/dt, dP/dt) at a homogeneous state.
 
@@ -355,18 +459,7 @@ def reaction_rhs(state: HomState, params: ModelParams) -> np.ndarray:
         If B > 0 while p = 0 (the quota would sit below Q_m).
     """
     B, p, P = state.B, state.p, state.P
-    loss = params.total_loss
-    if B > EPS_B:
-        if p <= 0:
-            raise DomainError("B > 0 with p = 0: cell quota undefined below Q_m")
-        growth = params.r * (1.0 - params.Q_m * B / p) * growth_h(B, params) * B
-    else:
-        growth = params.r * (1.0 - params.Q_m / q_hat(params)) * growth_h(B, params) * B
-    e = uptake_eta(B, p, P, params)
-    dB = growth - loss * B
-    dp = e - loss * p
-    dP = params.exchange * (params.P_h - P) + params.P_in - e + params.l * p
-    return np.array([dB, dp, dP])
+    return _reaction_kernel(B, p, P, _homogeneous_q_inv(B, p, params), params).rates
 
 
 def reaction_jacobian(
@@ -378,108 +471,11 @@ def reaction_jacobian(
 ) -> np.ndarray:
     """3x3 Jacobian of :func:`reaction_rhs` with respect to (B, p, P).
 
-    ``quota_inv`` overrides the ratio B/p; at extinction states it must be
-    supplied as ``1/q_hat`` since the literal ratio is 0/0.  The (1,3) entry
+    ``quota_inv`` overrides the ratio B/p; it defaults to B/p, or 1/q_hat
+    at extinction states where the literal ratio is 0/0.  The (1,3) entry
     is identically zero (growth does not see dissolved phosphorus) and the
     (3,1) entry equals minus the (2,1) entry (uptake swaps pools).
     """
     if quota_inv is None:
-        if B <= EPS_B:
-            quota_inv = 1.0 / q_hat(params)
-        elif p <= 0:
-            raise DomainError("B > 0 with p = 0: cell quota undefined below Q_m")
-        else:
-            quota_inv = B / p
-    loss = params.total_loss
-    hB = growth_h(B, params)
-    hpB = growth_h_prime(B, params)
-    monod = P / (P + params.M)
-    dmonod = params.M / (P + params.M) ** 2
-    span = params.Q_M - params.Q_m
-
-    a11 = (
-        params.r * (1.0 - 2.0 * params.Q_m * quota_inv) * hB
-        + params.r * (1.0 - params.Q_m * quota_inv) * hpB * B
-        - loss
-    )
-    a12 = params.r * params.Q_m * quota_inv**2 * hB
-    a21 = params.rho_m * params.Q_M / span * monod
-    a22 = -params.rho_m / span * monod - loss
-    a23 = params.rho_m * (params.Q_M * B - p) / span * dmonod
-    a32 = params.rho_m / span * monod + params.l
-    a33 = -params.exchange - params.rho_m * (params.Q_M * B - p) / span * dmonod
-    return np.array(
-        [
-            [a11, a12, 0.0],
-            [a21, a22, a23],
-            [-a21, a32, a33],
-        ]
-    )
-
-
-def _reaction_rates_arrays(B, p, P, params: ModelParams, p_reg: float = 0.0):
-    """Vectorized reaction rates with the (p + eps) regularized quota.
-
-    Used by the spatial solvers, where the regularization keeps the growth
-    factor bounded as p -> 0 without a state-dependent branch.  Nonlinear
-    coefficients are evaluated at states clipped to the physical range so
-    that slightly negative Newton trial iterates cannot blow up; the linear
-    loss terms keep the raw values, which preserves the exact uptake and
-    recycling cancellation between the p and P rows.  Returns the triple
-    (R_B, R_p, R_P) of nodewise rates.
-    """
-    Bc = np.maximum(np.asarray(B, dtype=float), 0.0)
-    pc = np.maximum(np.asarray(p, dtype=float), 0.0)
-    Pc = np.maximum(np.asarray(P, dtype=float), 0.0)
-    loss = params.total_loss
-    hB = growth_h(Bc, params)
-    growth = params.r * (1.0 - params.Q_m * Bc / (pc + p_reg)) * hB * Bc
-    e = uptake_eta(Bc, pc, Pc, params)
-    R_B = growth - loss * B
-    R_p = e - loss * p
-    R_P = params.exchange * (params.P_h - P) + params.P_in - e + params.l * p
-    return R_B, R_p, R_P
-
-
-def _reaction_jacobian_arrays(B, p, P, params: ModelParams, p_reg: float = 0.0):
-    """Vectorized nodewise Jacobian blocks of :func:`_reaction_rates_arrays`.
-
-    Returns a dict keyed by ('B','p','P') x ('B','p','P') of arrays matching
-    the input shape; the regularized denominator (p + eps) is differentiated
-    exactly.  States are clipped like in the rates function (the slope of
-    the clamp itself is ignored, which only perturbs Newton paths through
-    unphysical trial points).
-    """
-    B = np.maximum(np.asarray(B, dtype=float), 0.0)
-    p = np.maximum(np.asarray(p, dtype=float), 0.0)
-    P = np.maximum(np.asarray(P, dtype=float), 0.0)
-    loss = params.total_loss
-    hB = growth_h(B, params)
-    hpB = growth_h_prime(B, params)
-    monod = P / (P + params.M)
-    dmonod = params.M / (P + params.M) ** 2
-    span = params.Q_M - params.Q_m
-    pr = p + p_reg
-
-    dG_dB = (
-        params.r * hB
-        + params.r * hpB * B
-        - params.r * params.Q_m * (hpB * B**2 + 2.0 * hB * B) / pr
-    )
-    dG_dp = params.r * params.Q_m * hB * B**2 / pr**2
-    deta_dB = params.rho_m * params.Q_M / span * monod
-    deta_dp = -params.rho_m / span * monod
-    deta_dP = params.rho_m * (params.Q_M * B - p) / span * dmonod
-
-    zero = np.zeros_like(np.asarray(B, dtype=float))
-    return {
-        ("B", "B"): dG_dB - loss,
-        ("B", "p"): dG_dp,
-        ("B", "P"): zero,
-        ("p", "B"): deta_dB,
-        ("p", "p"): deta_dp - loss,
-        ("p", "P"): deta_dP,
-        ("P", "B"): -deta_dB,
-        ("P", "p"): -deta_dp + params.l,
-        ("P", "P"): -params.exchange - deta_dP,
-    }
+        quota_inv = _homogeneous_q_inv(B, p, params)
+    return _reaction_kernel(B, p, P, quota_inv, params, jacobian=True).jacobian

@@ -18,6 +18,7 @@ from .core import (
     EPS_B,
     HomState,
     ModelParams,
+    _quota,
     q_hat,
     r0,
     reaction_jacobian,
@@ -78,8 +79,7 @@ class HomTrajectory:
 
     def quota(self) -> np.ndarray:
         """Cell quota p/B along the trajectory, q_hat where B has vanished."""
-        qh = q_hat(self.params)
-        return np.where(self.B > EPS_B, self.p / np.maximum(self.B, EPS_B), qh)
+        return _quota(self.B, self.p, self.params)
 
     def final_state(self) -> HomState:
         B, p, P = np.maximum(self.y[:, -1], 0.0)

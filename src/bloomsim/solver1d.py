@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.sparse import lil_matrix
 
-from .core import EPS_B, ModelParams, growth_h, uptake_eta, uptake_rho
+from .core import EPS_B, ModelParams, _reaction_kernel
 from .ode import IntegrationError
 from .wind import as_wind
 
@@ -195,21 +195,21 @@ def rhs_1d(
     """Per-node time derivatives of (B, Q, P, p) at time ``t``.
 
     The scalar transect wind is the east component of the supplied wind
-    evaluator.  Reaction terms are the pointwise kernels; with spatially
-    constant fields and still water the derivative reduces to the
-    homogeneous reaction rates at every node.
+    evaluator.  The B, p and P reaction terms come from the shared reaction
+    kernel with the inverse growth quota 1/clip(Q, Q_m, Q_M), so like the
+    2D solver they see states clipped to >= 0 in their nonlinear
+    coefficients; the Q row reuses the kernel's h(B) and uptake
+    coefficient.  With spatially constant fields and still water the
+    derivative reduces to the homogeneous reaction rates at every node.
     """
     dx = grid.dx
     v = float(as_wind(wind)(t)[0])
     B, Q, P, p = fields.B, fields.Q, fields.P, fields.p
 
-    hB = growth_h(np.maximum(B, 0.0), params)
     # clip the quota to its invariant tube so that integrator trial steps
     # slightly outside it cannot divide by a vanishing Q
     Qc = np.clip(Q, params.Q_m, params.Q_M)
-    rhoQ = uptake_rho(Qc, np.maximum(P, 0.0), params)
-    e = uptake_eta(B, p, P, params)
-    loss = params.total_loss
+    (R_B, R_p, R_P), _, hB, uptake = _reaction_kernel(B, p, P, 1.0 / Qc, params)
 
     a_B = params.beta_B * v
     a_P = params.beta_P * v
@@ -217,36 +217,19 @@ def rhs_1d(
     # coefficient's B_x is a central difference, guarded where B vanishes
     a_Q = a_B - 2.0 * params.alpha * _central_gradient(B, dx) / np.maximum(B, EPS_B)
 
-    dB = (
-        params.alpha * _laplacian(B, dx)
-        - a_B * _upwind_gradient(B, a_B, dx)
-        + params.r * (1.0 - params.Q_m / Qc) * hB * B
-        - loss * B
-    )
+    dB = params.alpha * _laplacian(B, dx) - a_B * _upwind_gradient(B, a_B, dx) + R_B
     dQ = (
         params.alpha * _laplacian(Q, dx)
         - a_Q * _upwind_gradient(Q, a_Q, dx)
-        + rhoQ
+        + uptake * (params.Q_M - Qc)
         - params.r * (Q - params.Q_m) * hB
     )
-    # uptake and recycling enter through the areal forms eta and l*p (equal
-    # to rho(Q,P)*B and l*Q*B when p = Q B); written this way they cancel
-    # against the p equation identically, keeping the closed phosphorus
+    # uptake and recycling enter R_P and R_p through the areal forms eta and
+    # l*p (equal to rho(Q,P)*B and l*Q*B when p = Q B); written this way they
+    # cancel between the two rows identically, keeping the closed phosphorus
     # budget exact in the discretization
-    dP = (
-        params.beta * _laplacian(P, dx)
-        - a_P * _upwind_gradient(P, a_P, dx)
-        + params.exchange * (params.P_h - P)
-        + params.P_in
-        - e
-        + params.l * p
-    )
-    dp = (
-        params.alpha * _laplacian(p, dx)
-        - a_B * _upwind_gradient(p, a_B, dx)
-        + e
-        - loss * p
-    )
+    dP = params.beta * _laplacian(P, dx) - a_P * _upwind_gradient(P, a_P, dx) + R_P
+    dp = params.alpha * _laplacian(p, dx) - a_B * _upwind_gradient(p, a_B, dx) + R_p
     return Field1D(dB, dQ, dP, dp)
 
 

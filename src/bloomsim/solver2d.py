@@ -21,6 +21,7 @@ small eps, so no branch is needed as the bloom dies out.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,13 +29,7 @@ import numpy as np
 from scipy.sparse import bmat, csr_matrix, diags
 from scipy.sparse.linalg import spsolve
 
-from .core import (
-    EPS_B,
-    ModelParams,
-    _reaction_jacobian_arrays,
-    _reaction_rates_arrays,
-    q_hat,
-)
+from .core import ModelParams, _quota, _reaction_kernel
 from .mesh import TriMesh
 from .wind import as_wind
 
@@ -113,8 +108,7 @@ class Field2D:
 
     def quota(self, params: ModelParams) -> np.ndarray:
         """Pointwise p/B, with q_hat where biomass has numerically vanished."""
-        qh = q_hat(params)
-        return np.where(self.B > EPS_B, self.p / np.maximum(self.B, EPS_B), qh)
+        return _quota(self.B, self.p, params)
 
     def validate(
         self,
@@ -247,37 +241,33 @@ def newton_be_step(
     v = as_wind(wind)(t_next)
     L_B, L_P = _step_matrices(ops, v, params)
     M = ops.M_lumped
+    m = M.diagonal()
 
     y_n = U_n.stack()
     n = mesh.n_nodes
     scale = max(1.0, float(np.linalg.norm(M @ U_n.B)), float(np.linalg.norm(M @ U_n.p)),
                 float(np.linalg.norm(M @ U_n.P)))
 
+    def reactions(y, jacobian=False):
+        B, p, P = y[:n], y[n : 2 * n], y[2 * n :]
+        q_inv = np.maximum(B, 0.0) / (np.maximum(p, 0.0) + EPS_P)
+        return _reaction_kernel(B, p, P, q_inv, params, jacobian)
+
     def residual(y):
         B, p, P = y[:n], y[n : 2 * n], y[2 * n :]
-        R_B, R_p, R_P = _reaction_rates_arrays(B, p, P, params, p_reg=EPS_P)
+        R_B, R_p, R_P = reactions(y).rates
         F_B = M @ (B - U_n.B) + dt * (L_B @ B - M @ R_B)
         F_p = M @ (p - U_n.p) + dt * (L_B @ p - M @ R_p)
         F_P = M @ (P - U_n.P) + dt * (L_P @ P - M @ R_P)
         return np.concatenate([F_B, F_p, F_P])
 
     def jacobian(y):
-        B, p, P = y[:n], y[n : 2 * n], y[2 * n :]
-        blocks = _reaction_jacobian_arrays(B, p, P, params, p_reg=EPS_P)
-
-        def blk(name_i, name_j, L=None):
-            base = M + dt * L if L is not None else None
-            react = dt * (M @ diags(blocks[(name_i, name_j)]))
-            return (base - react) if base is not None else -react
-
-        return bmat(
-            [
-                [blk("B", "B", L_B), blk("B", "p"), None],
-                [blk("p", "B"), blk("p", "p", L_B), blk("p", "P")],
-                [blk("P", "B"), blk("P", "p"), blk("P", "P", L_P)],
-            ],
-            format="csc",
-        )
+        react = dt * (m * reactions(y, jacobian=True).jacobian)
+        blocks = [[diags(-react[i, j]) for j in range(3)] for i in range(3)]
+        for i, L in enumerate((L_B, L_B, L_P)):
+            blocks[i][i] = M + dt * L - diags(react[i, i])
+        blocks[0][2] = None  # growth does not see dissolved phosphorus
+        return bmat(blocks, format="csc")
 
     y = y_n.copy()
     converged = False
@@ -310,6 +300,21 @@ def newton_be_step(
     return Field2D.unstack(y)
 
 
+def _cell_peclet(h: float, wind_speed: float, params: ModelParams) -> float:
+    """Largest cell Peclet number h |a| / (2 D) over the B and P fields.
+
+    A field at rest counts 0 even without diffusion; a field advected but
+    not diffused counts as infinitely advection-dominated.
+    """
+    worst = 0.0
+    for scalar, diffusivity in ((params.beta_B, params.alpha), (params.beta_P, params.beta)):
+        speed = scalar * wind_speed
+        if speed > 0.0:
+            peclet = h * speed / (2.0 * diffusivity) if diffusivity > 0.0 else math.inf
+            worst = max(worst, peclet)
+    return worst
+
+
 @dataclass(frozen=True)
 class Snapshots2D:
     """Fields captured at the requested output times."""
@@ -339,8 +344,8 @@ def simulate_2d(
 
     The wind is re-evaluated at the end time of every step.  Steps of size
     ``dt`` are shortened where needed to land exactly on each output time.
-    Emits a one-time warning when the cell Peclet number exceeds one
-    (pure Galerkin advection can then oscillate).
+    Emits a one-time warning when the cell Peclet number of the B or the P
+    field exceeds one (pure Galerkin advection can then oscillate).
     """
     output_times = np.asarray(sorted(set(float(t) for t in output_times)), dtype=float)
     if output_times.size == 0 or output_times[0] < 0 or output_times[-1] > t_end:
@@ -363,9 +368,7 @@ def simulate_2d(
             step = min(dt, target - t)
             t_next = t + step
             if not peclet_warned:
-                vx, vy = wind_fn(t_next)
-                speed = params.beta_B * float(np.hypot(vx, vy))
-                peclet = h_mesh * speed / (2.0 * params.alpha)
+                peclet = _cell_peclet(h_mesh, float(np.hypot(*wind_fn(t_next))), params)
                 if peclet > 1.0:
                     warnings.warn(
                         f"cell Peclet number {peclet:.2g} > 1: un-stabilized "

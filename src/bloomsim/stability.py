@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_B, HomState, ModelParams, q_hat, reaction_jacobian, reaction_rhs
+from .core import HomState, ModelParams, reaction_jacobian, reaction_rhs
 
 __all__ = [
     "ModeSpectrum",
@@ -109,8 +109,7 @@ def assemble_jacobian(
             f"state is not an equilibrium: |rhs| = {residual:.3e} "
             f"> {residual_tol:.1e} * {scale:g}"
         )
-    quota_inv = 1.0 / q_hat(params) if eq.B < EPS_B else eq.B / eq.p
-    A = reaction_jacobian(eq.B, eq.p, eq.P, params, quota_inv=quota_inv)
+    A = reaction_jacobian(eq.B, eq.p, eq.P, params)
     return A.astype(complex) + np.diag(_delta_diag(n, v, params))
 
 

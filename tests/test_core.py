@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bloomsim.core import (
     DomainError,
     HomState,
-    _reaction_rates_arrays,
+    _reaction_kernel,
     b_bar,
     default_params,
     growth_h,
@@ -28,6 +28,7 @@ from bloomsim.core import (
     uptake_eta,
     uptake_rho,
 )
+from bloomsim.solver2d import EPS_P
 
 # 40-digit oracle evaluations of the closed forms (section defaults)
 I_AT_5M_NO_BIOMASS = 66.93904804452894868
@@ -270,10 +271,36 @@ class TestReactionRhs:
         B = rng.uniform(0.5, 20.0, size=8)
         Q = rng.uniform(p.Q_m, p.Q_M, size=8)
         P = rng.uniform(0.0, 2.0, size=8)
-        R_B, R_p, R_P = _reaction_rates_arrays(B, Q * B, P, p)
+        out = _reaction_kernel(B, Q * B, P, B / (Q * B), p, jacobian=True)
+        assert out.rates.shape == (3, 8) and out.jacobian.shape == (3, 3, 8)
         for i in range(8):
             expected = reaction_rhs(HomState(B[i], Q[i] * B[i], P[i]), p)
-            assert np.allclose([R_B[i], R_p[i], R_P[i]], expected, rtol=1e-12)
+            assert np.allclose(out.rates[:, i], expected, rtol=1e-12)
+            expected = reaction_jacobian(B[i], Q[i] * B[i], P[i], p)
+            assert np.allclose(out.jacobian[:, :, i], expected, rtol=1e-12)
+
+    def test_jacobian_arrays_match_finite_differences_with_2d_quota(
+        self, params_case3, rng
+    ):
+        # the 2D Newton iteration differentiates q_inv = B/(p + EPS_P); the
+        # last nodes sit near extinction, where p is comparable to EPS_P
+        p = params_case3
+        B = np.concatenate([rng.uniform(0.5, 30.0, 4), [1e-8, 4e-8]])
+        Q = rng.uniform(p.Q_m * 1.2, p.Q_M * 0.8, B.size)
+        y = np.array([B, Q * B, rng.uniform(0.01, 2.0, B.size)])
+
+        def kernel(y, jacobian=False):
+            return _reaction_kernel(*y, y[0] / (y[1] + EPS_P), p, jacobian)
+
+        J = kernel(y, jacobian=True).jacobian
+        assert J.shape == (3, 3, B.size)
+        for j in range(3):
+            # nodes do not couple, so all of them are stepped at once; the
+            # step follows each state's scale, which for p includes EPS_P
+            step = np.zeros_like(y)
+            step[j] = 1e-5 * (y[j] + EPS_P)
+            fd = (kernel(y + step).rates - kernel(y - step).rates) / (2.0 * step[j])
+            assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-6)
 
 
 class TestHomState:

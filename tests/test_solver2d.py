@@ -6,6 +6,8 @@ where every spatial term vanishes), and the homogeneous BDF trajectory for
 multi-step uniform runs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
@@ -16,6 +18,7 @@ from bloomsim.ode import integrate_homogeneous
 from bloomsim.solver2d import (
     Field2D,
     NewtonError,
+    Snapshots2D,
     assemble_fem,
     newton_be_step,
     simulate_2d,
@@ -195,6 +198,30 @@ class TestSimulate:
         with pytest.warns(RuntimeWarning, match="Peclet"):
             simulate_2d(U0, lake, gale, params_case3, dt=0.01, t_end=0.02,
                         output_times=[0.02], validate=False)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"beta_B": 0.0, "beta_P": 0.5},  # only the P field is advected
+            {"alpha": 0.0, "beta_P": 0.0},  # B advected without diffusion
+        ],
+    )
+    def test_peclet_warning_covers_both_fields(self, lake, params_case3, overrides):
+        U0 = Field2D.uniform(lake, 1.0, 0.02, 0.2)
+        wind = lambda t: (4.0, 0.0)  # noqa: E731
+        with pytest.warns(RuntimeWarning, match="Peclet"):
+            simulate_2d(U0, lake, wind, params_case3.replace(**overrides), dt=0.01,
+                        t_end=0.02, output_times=[0.02], validate=False)
+
+    def test_zero_diffusivity_in_still_water(self, lake, params_case3):
+        params = params_case3.replace(alpha=0.0)
+        U0 = Field2D.bump(lake, P0=0.15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # still water: no Peclet warning
+            snaps = simulate_2d(U0, lake, None, params, dt=0.5, t_end=2.0,
+                                output_times=[0.0, 2.0])
+        assert isinstance(snaps, Snapshots2D)
+        snaps.validate()
 
     def test_output_times_validated(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.2)
