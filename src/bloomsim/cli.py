@@ -302,7 +302,9 @@ def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
     index_path = out_dir / "snapshots.csv"
     export_csv(manifest_rows, ["t", "filename"], index_path)
     outputs.append(index_path)
-    return outputs, {"n_snapshots": len(manifest_rows)}
+    counters = {key: getattr(snaps, key)
+                for key in ("newton_iterations", "factorizations", "half_step_retries")}
+    return outputs, {"n_snapshots": len(manifest_rows), "counters": counters}
 
 
 def _run_sobol(config, params, out_dir, seed, threads, base_dir):

@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 __all__ = [
@@ -85,39 +87,16 @@ class TriMesh:
         referenced[self.triangles] = True
         if not referenced.all():
             raise MeshError(f"{(~referenced).sum()} node(s) not referenced by any triangle")
-        self._check_connected()
-        self.boundary_edges = self._find_boundary_edges()
-
-    def _check_connected(self) -> None:
-        # union-find over triangle vertices
-        parent = np.arange(len(self.nodes))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for tri in self.triangles:
-            a = find(tri[0])
-            for j in tri[1:]:
-                b = find(j)
-                if a != b:
-                    parent[b] = a
-        roots = {find(i) for i in range(len(self.nodes))}
-        if len(roots) != 1:
-            raise MeshError(f"mesh is disconnected ({len(roots)} components)")
-
-    def _find_boundary_edges(self) -> np.ndarray:
-        counts: dict[tuple[int, int], tuple[int, int]] = {}
-        seen: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                seen[key] = seen.get(key, 0) + 1
-                counts[key] = (a, b)
-        edges = [counts[k] for k, c in seen.items() if c == 1]
-        return np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
+        n = len(self.nodes)
+        edges, keys = _edges(self.triangles, n)
+        graph = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+        n_components, _ = connected_components(graph, directed=False)
+        if n_components != 1:
+            raise MeshError(f"mesh is disconnected ({n_components} components)")
+        # an edge is on the boundary when exactly one triangle has it; edges
+        # keep their triangle's orientation and the order of first appearance
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        self.boundary_edges = edges[np.sort(first[counts == 1])]
 
     @property
     def n_nodes(self) -> int:
@@ -145,6 +124,14 @@ class TriMesh:
         for i, j in ((0, 1), (1, 2), (2, 0)):
             lengths.append(np.hypot(x[:, i] - x[:, j], y[:, i] - y[:, j]))
         return float(np.max(lengths))
+
+
+def _edges(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (3M, 2) directed edges ab, bc, ca of each triangle in turn, and
+    one integer key per undirected edge, equal for both directions."""
+    edges = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = edges.min(axis=1) * n_nodes + edges.max(axis=1)
+    return edges, keys
 
 
 def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -292,22 +279,23 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     node list), so coarse nodal fields can be compared against restricted
     fine fields directly.
     """
-    midpoint_index: dict[tuple[int, int], int] = {}
-    new_nodes = [tuple(xy) for xy in mesh.nodes]
+    n = mesh.n_nodes
+    edges, keys = _edges(mesh.triangles, n)
+    # midpoints are numbered after the coarse nodes in order of first
+    # appearance, walking the triangles and their edges ab, bc, ca in turn
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ends = edges[np.sort(first)]
+    new_nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])])
 
-    def midpoint(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key not in midpoint_index:
-            xy = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-            midpoint_index[key] = len(new_nodes)
-            new_nodes.append((float(xy[0]), float(xy[1])))
-        return midpoint_index[key]
-
-    new_triangles = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_triangles.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return TriMesh(np.array(new_nodes), np.array(new_triangles))
+    a, b, c = mesh.triangles.T
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    new_triangles = np.stack(
+        [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1
+    ).reshape(-1, 3)
+    return TriMesh(new_nodes, new_triangles)
 
 
 def two_triangle_square(side: float = 1.0) -> TriMesh:

@@ -20,7 +20,6 @@ Jacobian sparsity pattern.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +167,12 @@ def _laplacian(U: np.ndarray, dx: float) -> np.ndarray:
 def _upwind_gradient(U: np.ndarray, speed, dx: float) -> np.ndarray:
     # one-sided difference taken from the upwind side of the local speed;
     # boundary ghosts copy the boundary value, so the upwind slope there is 0
-    backward = np.empty_like(U)
-    forward = np.empty_like(U)
-    backward[1:] = U[1:] - U[:-1]
-    backward[0] = 0.0
-    forward[:-1] = U[1:] - U[:-1]
-    forward[-1] = 0.0
-    return np.where(np.asarray(speed) > 0, backward, forward) / dx
+    padded = np.zeros(U.size + 1)
+    np.subtract(U[1:], U[:-1], out=padded[1:-1])
+    backward, forward = padded[:-1], padded[1:]
+    if np.ndim(speed) == 0:
+        return (backward if speed > 0 else forward) / dx
+    return np.where(speed > 0, backward, forward) / dx
 
 
 def _central_gradient(U: np.ndarray, dx: float) -> np.ndarray:
@@ -319,21 +317,20 @@ def integrate_1d(
     return traj
 
 
+_CSV_ROW = ",".join(["%.17g"] * 6) + "\r\n"
+
+
 def write_trajectory_csv(traj: Trajectory1D, path) -> None:
-    """Long-format export: one row per (t, x) with B, Q, P, p columns."""
+    """Long-format export: one row per (t, x) with B, Q, P, p columns.
+
+    Values are written with ``%.17g`` (round-trip exact) and rows end in
+    ``\\r\\n``, the csv module's default dialect; each sample is formatted
+    as one block.
+    """
     x = traj.grid.x
+    block_format = _CSV_ROW * traj.grid.Nx
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "B", "Q", "P", "p"])
+        fh.write("t,x,B,Q,P,p\r\n")
         for t, f in zip(traj.times, traj.fields):
-            for i in range(traj.grid.Nx):
-                writer.writerow(
-                    [
-                        f"{t:.17g}",
-                        f"{x[i]:.17g}",
-                        f"{f.B[i]:.17g}",
-                        f"{f.Q[i]:.17g}",
-                        f"{f.P[i]:.17g}",
-                        f"{f.p[i]:.17g}",
-                    ]
-                )
+            block = np.column_stack([np.full(x.size, t), x, f.B, f.Q, f.P, f.p])
+            fh.write(block_format % tuple(block.ravel().tolist()))

@@ -134,6 +134,9 @@ class TestSubcommands:
         assert len(index) == 3
         for row in index[1:]:
             assert (out / row.split(",")[1]).exists()
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert counters["half_step_retries"] == 0
+        assert 0 < counters["factorizations"] <= counters["newton_iterations"]
 
     def test_sobol_requires_seed(self, tmp_path):
         path = write_config(

@@ -223,3 +223,88 @@ class TestSyntheticLake:
         assert mesh.n_triangles > 50
         assert np.all(mesh.areas > 0.0)
         assert mesh.boundary_length > 0.0
+
+
+# Loop references for the vectorised mesh utilities: the dictionary and
+# union-find versions the library used before, kept here as oracles.
+
+
+def loop_components(n_nodes, triangles):
+    parent = np.arange(n_nodes)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for tri in triangles:
+        a = find(tri[0])
+        for j in tri[1:]:
+            b = find(j)
+            if a != b:
+                parent[b] = a
+    return len({find(i) for i in range(n_nodes)})
+
+
+def loop_boundary_edges(triangles):
+    oriented, seen = {}, {}
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            seen[key] = seen.get(key, 0) + 1
+            oriented[key] = (a, b)
+    edges = [oriented[k] for k, c in seen.items() if c == 1]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def loop_refine(mesh):
+    midpoint_index = {}
+    new_nodes = [tuple(xy) for xy in mesh.nodes]
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint_index:
+            xy = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
+            midpoint_index[key] = len(new_nodes)
+            new_nodes.append((float(xy[0]), float(xy[1])))
+        return midpoint_index[key]
+
+    new_triangles = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_triangles.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    return np.array(new_nodes), np.array(new_triangles)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["refined1", "refined2"])
+def refined_lake(request):
+    mesh = synthetic_lake_mesh()
+    for _ in range(request.param):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+class TestVectorisedAgainstLoops:
+    def test_refine_numbering_matches_loop(self, refined_lake):
+        nodes, triangles = loop_refine(refined_lake)
+        fine = refine_uniform(refined_lake)
+        assert np.array_equal(fine.nodes, nodes)
+        assert np.array_equal(fine.triangles, triangles)
+
+    def test_boundary_edges_match_loop(self, refined_lake):
+        expected = loop_boundary_edges(refined_lake.triangles)
+        assert np.array_equal(refined_lake.boundary_edges, expected)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_component_count_matches_loop(self, refined_lake, copies):
+        # side-by-side copies of the lake, each its own component
+        n = refined_lake.n_nodes
+        nodes = np.vstack([refined_lake.nodes + [2000.0 * k, 0.0] for k in range(copies)])
+        triangles = np.vstack([refined_lake.triangles + n * k for k in range(copies)])
+        assert loop_components(len(nodes), triangles) == copies
+        if copies == 1:
+            TriMesh(nodes, triangles)
+        else:
+            with pytest.raises(MeshError, match=rf"disconnected \({copies} components\)"):
+                TriMesh(nodes, triangles)

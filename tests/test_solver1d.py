@@ -6,6 +6,8 @@ configuration (quota pinned at Q_m and no dissolved phosphorus make every
 reaction term vanish except the linear loss, which factors out).
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bloomsim.ode import IntegrationError, integrate_homogeneous
 from bloomsim.solver1d import (
     Field1D,
     Trajectory1D,
+    _upwind_gradient,
     build_grid,
     integrate_1d,
     rhs_1d,
@@ -72,6 +75,25 @@ class TestRhs:
         assert np.allclose(plus.B[1:-1] + minus.B[1:-1], 2 * rhs_1d(
             f, 0.0, grid, None, params_case3).B[1:-1], rtol=1e-12)
         assert plus.B[0] != minus.B[0]
+
+    @pytest.mark.parametrize(
+        "speed",
+        [0.7, -0.7, 0.0, -0.0, np.float64(2.5),
+         np.array([1.0, 0.5, 0.0, -0.3, -1.0, 0.0, 2.0, -0.0, 0.4]),
+         np.linspace(-1.0, 1.0, 9)],
+    )
+    def test_upwind_gradient_matches_two_sided_formula(self, speed):
+        # the formula before the scalar fast path: both one-sided differences
+        # in full, selected per node
+        U = np.array([0.3, 1.7, 1.1, 1e-12, 0.0, 5.0, 4.999999, -0.2, 0.8])
+        backward = np.empty_like(U)
+        forward = np.empty_like(U)
+        backward[1:] = U[1:] - U[:-1]
+        backward[0] = 0.0
+        forward[:-1] = U[1:] - U[:-1]
+        forward[-1] = 0.0
+        expected = np.where(np.asarray(speed) > 0, backward, forward) / 0.37
+        assert np.array_equal(_upwind_gradient(U, speed, 0.37), expected)
 
 
 class TestPureAdvection:
@@ -226,3 +248,23 @@ class TestExport:
         assert len(lines) == 1 + 5
         row = lines[1].split(",")
         assert float(row[2]) == 2.0 and float(row[3]) == 0.02
+
+    def test_csv_bytes_match_csv_module(self, tmp_path, params_case3, rng):
+        grid = build_grid(100.0, 7)
+        fields = [
+            Field1D(*rng.uniform(-1.0, 1.0, (4, grid.Nx)) * 10.0 ** rng.integers(-300, 300, 4)[:, None])
+            for _ in range(3)
+        ]
+        fields[1].B[:3] = [0.0, -0.0, 5e-324]
+        traj = Trajectory1D(np.array([0.0, 1.0 / 3.0, 2.5e6]), fields, grid, params_case3)
+        out = tmp_path / "sol.csv"
+        write_trajectory_csv(traj, out)
+
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x", "B", "Q", "P", "p"])
+            for t, f in zip(traj.times, traj.fields):
+                for i in range(grid.Nx):
+                    writer.writerow([f"{v:.17g}" for v in (t, grid.x[i], f.B[i], f.Q[i], f.P[i], f.p[i])])
+        assert out.read_bytes() == expected.read_bytes()

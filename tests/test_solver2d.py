@@ -11,18 +11,23 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
+from scipy.sparse import bmat, diags
+from scipy.sparse.linalg import spsolve
 
-from bloomsim.core import HomState, default_params, reaction_rhs
+from bloomsim.core import HomState, _reaction_kernel, default_params, reaction_rhs
 from bloomsim.mesh import refine_uniform, synthetic_lake_mesh, two_triangle_square
 from bloomsim.ode import integrate_homogeneous
 from bloomsim.solver2d import (
+    EPS_P,
     Field2D,
     NewtonError,
     Snapshots2D,
+    _NewtonStats,
     assemble_fem,
     newton_be_step,
     simulate_2d,
 )
+from bloomsim.wind import synthetic_wind
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +119,67 @@ class TestNewtonStep:
     def test_newton_failure_raises_after_halving(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.1)
         bad_wind = lambda t: (np.nan, 0.0)  # noqa: E731
+        stats = _NewtonStats()
         with pytest.raises(NewtonError):
-            newton_be_step(U0, 1.0, 1.0, lake, bad_wind, params_case3)
+            newton_be_step(U0, 1.0, 1.0, lake, bad_wind, params_case3, _stats=stats)
+        # levels 0, 1 and 2 each fell back to half steps once; level 3 raised
+        assert stats.half_step_retries == 3
+        assert stats.factorizations == 0  # the residual is NaN from the start
+
+
+def full_newton_step(U_n, dt, t_next, mesh, wind, params, tol=1e-12, max_iter=25):
+    """Oracle: backward Euler by full Newton, one fresh spsolve per iteration."""
+    M, K, C = assemble_fem(mesh, wind.at(t_next), params)
+    m = np.asarray(M.sum(axis=1)).ravel()  # lumped mass
+    L = [params.alpha * K + params.beta_B * C] * 2 + [params.beta * K + params.beta_P * C]
+    old = [U_n.B, U_n.p, U_n.P]
+    scale = max(1.0, *(np.linalg.norm(m * u) for u in old))
+    y = U_n.stack()
+    for _ in range(max_iter):
+        B, p, P = np.split(y, 3)
+        q_inv = np.maximum(B, 0.0) / (np.maximum(p, 0.0) + EPS_P)
+        rates, jac, _, _ = _reaction_kernel(B, p, P, q_inv, params, True)
+        F = np.concatenate([m * (u - u0) + dt * (Li @ u - m * R)
+                            for u, u0, Li, R in zip((B, p, P), old, L, rates)])
+        if np.linalg.norm(F) <= tol * scale:
+            return Field2D(B, p, P)
+        blocks = [[-diags(dt * m * jac[i, j]) for j in range(3)] for i in range(3)]
+        for i in range(3):
+            blocks[i][i] = blocks[i][i] + diags(m) + dt * L[i]
+        J = bmat(blocks, format="csc")
+        y = y + spsolve(J, -F)
+    raise AssertionError("oracle Newton did not converge")
+
+
+class TestSimplifiedNewton:
+    """Four windy steps on the 114-node lake against the full-Newton oracle."""
+
+    @pytest.fixture(scope="class")
+    def windy_run(self):
+        mesh = synthetic_lake_mesh()
+        params = default_params(r=1.0, P_h=0.2)
+        wind = synthetic_wind(20.0, 9.0)
+        U0 = Field2D.bump(mesh, P0=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Peclet warning
+            snaps = simulate_2d(U0, mesh, wind, params, dt=0.5, t_end=2.0,
+                                output_times=[2.0])
+        oracle = U0
+        for k in range(1, 5):
+            oracle = full_newton_step(oracle, 0.5, 0.5 * k, mesh, wind, params)
+        return mesh, snaps, oracle
+
+    def test_matches_full_newton(self, windy_run):
+        mesh, snaps, oracle = windy_run
+        assert mesh.n_nodes == 114
+        got = snaps.fields[-1]
+        for name in ("B", "p", "P"):
+            np.testing.assert_allclose(getattr(got, name), getattr(oracle, name), rtol=1e-10)
+
+    def test_factors_are_reused(self, windy_run):
+        _, snaps, _ = windy_run
+        assert snaps.half_step_retries == 0
+        assert 4 <= snaps.factorizations < snaps.newton_iterations
 
 
 class TestSimulate:
