@@ -5,18 +5,18 @@ pipeline: ``ode``, ``stability``, ``sim1d``, ``sim2d``, or ``sobol``.
 Outputs land in a chosen directory together with ``manifest.json`` recording
 the config hash, the seed, library versions, and the produced files, so a
 rerun of the same config is reproducible (bit-identical CSVs up to
-platform floating-point differences).
+platform floating-point differences).  Numbers are written by
+``bloomsim._textio`` with 17 significant digits (round-trip exact).
 
 Flags: ``--config PATH --out DIR [--seed N] [--threads N]``; environment
 variables ``BLOOM_CONFIG``, ``BLOOM_OUT``, ``BLOOM_SEED``, ``BLOOM_THREADS``
-override the corresponding flags.  Stochastic subcommands (``sobol``)
-refuse to run without an explicit seed.
+stand in for flags not given (empty counts as unset, malformed is a usage
+error).  Stochastic subcommands (``sobol``) refuse to run without a seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -27,6 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._textio import export_csv
 from .core import HomState, ModelParams, b_bar, default_params, q_hat, r0
 from .mesh import load_gmsh_mesh, synthetic_lake_mesh, write_msh22
 from .ode import extinction_state, find_equilibrium, integrate_homogeneous
@@ -144,21 +145,6 @@ def _initial(field_cls, section: dict | None, domain, params: ModelParams,
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
-def export_csv(rows, header, path) -> None:
-    """Write rows (iterable of sequences) under a fixed header.
-
-    Floats are rendered with 17 significant digits so they round-trip
-    exactly; an empty iterable yields a header-only file.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
-            )
-
-
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -186,7 +172,7 @@ def _write_manifest(out_dir: Path, config: dict, subcommand: str, seed, outputs,
     return path
 
 
-def _run_ode(config, params, out_dir, seed, threads):
+def _run_ode(config, params, out_dir, seed, threads, base_dir):
     section = config.get("ode", {})
     initial = HomState(*[float(v) for v in section.get("initial", [5.0, 0.1, 0.15])])
     t_end = float(section.get("t_end", 4000.0))
@@ -215,7 +201,7 @@ def _run_ode(config, params, out_dir, seed, threads):
     return [traj_path, final_path], {"final_state": [final.B, final.p, final.P]}
 
 
-def _run_stability(config, params, out_dir, seed, threads):
+def _run_stability(config, params, out_dir, seed, threads, base_dir):
     section = config.get("stability", {})
     which = section.get("equilibrium", "extinction")
     if which == "extinction":
@@ -342,6 +328,10 @@ def _run_sobol(config, params, out_dir, seed, threads, base_dir):
     }
 
 
+_HANDLERS = {"ode": _run_ode, "stability": _run_stability, "sim1d": _run_sim1d,
+             "sim2d": _run_sim2d, "sobol": _run_sobol}
+
+
 def run_config(
     config_path,
     subcommand: str,
@@ -359,16 +349,7 @@ def run_config(
     out_dir.mkdir(parents=True, exist_ok=True)
     base_dir = config_path.parent
 
-    if subcommand == "ode":
-        outputs, extra = _run_ode(config, params, out_dir, seed, threads)
-    elif subcommand == "stability":
-        outputs, extra = _run_stability(config, params, out_dir, seed, threads)
-    elif subcommand == "sim1d":
-        outputs, extra = _run_sim1d(config, params, out_dir, seed, threads, base_dir)
-    elif subcommand == "sim2d":
-        outputs, extra = _run_sim2d(config, params, out_dir, seed, threads, base_dir)
-    else:
-        outputs, extra = _run_sobol(config, params, out_dir, seed, threads, base_dir)
+    outputs, extra = _HANDLERS[subcommand](config, params, out_dir, seed, threads, base_dir)
     return _write_manifest(out_dir, config, subcommand, seed, outputs, extra)
 
 
@@ -379,22 +360,18 @@ def main(argv=None) -> int:
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=os.environ.get("BLOOM_CONFIG"), help="JSON config path")
-    parser.add_argument("--out", default=os.environ.get("BLOOM_OUT", "out"), help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed for stochastic subcommands")
-    parser.add_argument("--threads", type=int, default=None, help="parallel model evaluations")
+    parser.add_argument("--out", default=os.environ.get("BLOOM_OUT") or "out", help="output directory")
+    # argparse applies type=int to string defaults too: a malformed variable exits 2
+    parser.add_argument("--seed", type=int, default=os.environ.get("BLOOM_SEED") or None,
+                        help="seed for stochastic subcommands")
+    parser.add_argument("--threads", type=int, default=os.environ.get("BLOOM_THREADS") or 1,
+                        help="parallel model evaluations")
     args = parser.parse_args(argv)
-
-    seed = args.seed
-    if seed is None and os.environ.get("BLOOM_SEED"):
-        seed = int(os.environ["BLOOM_SEED"])
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("BLOOM_THREADS", "1"))
     if not args.config:
         parser.error("--config is required (or set BLOOM_CONFIG)")
 
     try:
-        manifest = run_config(args.config, args.subcommand, args.out, seed, threads)
+        manifest = run_config(args.config, args.subcommand, args.out, args.seed, args.threads)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

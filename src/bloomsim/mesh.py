@@ -19,6 +19,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
+from ._textio import write_rows
+
 __all__ = [
     "TriMesh",
     "MeshError",
@@ -263,12 +265,17 @@ def write_msh22(mesh: TriMesh, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
         fh.write(f"$Nodes\n{mesh.n_nodes}\n")
-        for i, (x, y) in enumerate(mesh.nodes, start=1):
-            fh.write(f"{i} {x:.17g} {y:.17g} 0\n")
+        nodes = np.column_stack([np.arange(1, mesh.n_nodes + 1), mesh.nodes, np.zeros(mesh.n_nodes)])
+        write_rows(fh, nodes, " ", "\n")
         fh.write("$EndNodes\n")
         fh.write(f"$Elements\n{mesh.n_triangles}\n")
-        for i, (a, b, c) in enumerate(mesh.triangles, start=1):
-            fh.write(f"{i} 2 2 0 1 {a + 1} {b + 1} {c + 1}\n")
+        # element number, type 2 (triangle), 2 tags (physical 0, elementary 1), nodes
+        elements = np.column_stack([
+            np.arange(1, mesh.n_triangles + 1),
+            np.tile([2, 2, 0, 1], (mesh.n_triangles, 1)),
+            mesh.triangles + 1,
+        ])
+        write_rows(fh, elements, " ", "\n")
         fh.write("$EndElements\n")
 
 

@@ -21,7 +21,6 @@ across the domain.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -29,6 +28,7 @@ from multiprocessing import Pool
 import numpy as np
 from scipy.stats import qmc
 
+from ._textio import export_csv
 from .core import ModelParams, default_params
 from .solver1d import Field1D, Grid1D, integrate_1d
 
@@ -323,22 +323,8 @@ def run_sensitivity(
 
 def write_report_csv(report: SensitivityReport, path) -> None:
     """One row per (factor, time bin)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["factor", "bin_start", "bin_end", "S1_mean", "S1_sd", "ST_mean", "ST_sd", "N"]
-        )
-        for i, factor in enumerate(report.factors):
-            for b in range(report.n_bins):
-                writer.writerow(
-                    [
-                        factor,
-                        f"{report.bin_edges[b]:.17g}",
-                        f"{report.bin_edges[b + 1]:.17g}",
-                        f"{report.S1_mean[i, b]:.17g}",
-                        f"{report.S1_sd[i, b]:.17g}",
-                        f"{report.ST_mean[i, b]:.17g}",
-                        f"{report.ST_sd[i, b]:.17g}",
-                        report.N,
-                    ]
-                )
+    rows = ([factor, *report.bin_edges[b:b + 2], report.S1_mean[i, b], report.S1_sd[i, b],
+             report.ST_mean[i, b], report.ST_sd[i, b], report.N]
+            for i, factor in enumerate(report.factors) for b in range(report.n_bins))
+    header = ["factor", "bin_start", "bin_end", "S1_mean", "S1_sd", "ST_mean", "ST_sd", "N"]
+    export_csv(rows, header, path)

@@ -15,7 +15,8 @@ assumed.  Spatial terms on the uniform grid:
   (a discretely conservative closure).
 
 Time integration uses the adaptive implicit BDF scheme with a banded
-Jacobian sparsity pattern.
+Jacobian sparsity pattern.  Trajectories export as long-format CSV with 17
+significant digits, one block write per sample.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.sparse import lil_matrix
+from scipy.sparse import diags, kron
 
+from ._textio import write_rows
 from .core import EPS_B, ModelParams, _reaction_kernel
 from .ode import IntegrationError
 from .wind import as_wind
@@ -234,14 +236,8 @@ def rhs_1d(
 def _jac_sparsity(Nx: int):
     # four coupled tridiagonal blocks: every block pair may couple nodewise,
     # spatial stencils couple nearest neighbours
-    S = lil_matrix((4 * Nx, 4 * Nx), dtype=np.int8)
-    idx = np.arange(Nx)
-    for bi in range(4):
-        for bj in range(4):
-            S[bi * Nx + idx, bj * Nx + idx] = 1
-            S[bi * Nx + idx[1:], bj * Nx + idx[:-1]] = 1
-            S[bi * Nx + idx[:-1], bj * Nx + idx[1:]] = 1
-    return S.tocsr()
+    tridiagonal = diags([1, 1, 1], [-1, 0, 1], shape=(Nx, Nx), dtype=np.int8)
+    return kron(np.ones((4, 4), dtype=np.int8), tridiagonal, format="csr")
 
 
 @dataclass(frozen=True)
@@ -317,20 +313,15 @@ def integrate_1d(
     return traj
 
 
-_CSV_ROW = ",".join(["%.17g"] * 6) + "\r\n"
-
-
 def write_trajectory_csv(traj: Trajectory1D, path) -> None:
     """Long-format export: one row per (t, x) with B, Q, P, p columns.
 
-    Values are written with ``%.17g`` (round-trip exact) and rows end in
-    ``\\r\\n``, the csv module's default dialect; each sample is formatted
+    Values carry 17 significant digits (round-trip exact) and rows end in
+    ``\\r\\n``, the csv module's default dialect; each sample is written
     as one block.
     """
     x = traj.grid.x
-    block_format = _CSV_ROW * traj.grid.Nx
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,x,B,Q,P,p\r\n")
         for t, f in zip(traj.times, traj.fields):
-            block = np.column_stack([np.full(x.size, t), x, f.B, f.Q, f.P, f.p])
-            fh.write(block_format % tuple(block.ravel().tolist()))
+            write_rows(fh, np.column_stack([np.full(x.size, t), x, f.B, f.Q, f.P, f.p]), ",", "\r\n")

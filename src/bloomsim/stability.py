@@ -32,12 +32,12 @@ equilibria, where the spectrum of A is real).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import export_csv
 from .core import HomState, ModelParams, reaction_jacobian, reaction_rhs
 
 __all__ = [
@@ -201,20 +201,7 @@ def mode_sweep(
 
 def write_spectrum_csv(spectra: list[ModeSpectrum], path) -> None:
     """Plot-ready table: one row per (mode, eigenvalue index)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "i", "Re_exact", "Im_exact", "Re_approx", "Im_approx"])
-        for spectrum in spectra:
-            for i in range(3):
-                ex = spectrum.exact_eigenvalues[i]
-                ap = spectrum.approx_eigenvalues[i]
-                writer.writerow(
-                    [
-                        spectrum.n,
-                        i,
-                        f"{ex.real:.17g}",
-                        f"{ex.imag:.17g}",
-                        f"{ap.real:.17g}",
-                        f"{ap.imag:.17g}",
-                    ]
-                )
+    rows = ([s.n, i, ex.real, ex.imag, ap.real, ap.imag]
+            for s in spectra
+            for i, (ex, ap) in enumerate(zip(s.exact_eigenvalues, s.approx_eigenvalues)))
+    export_csv(rows, ["n", "i", "Re_exact", "Im_exact", "Re_approx", "Im_approx"], path)

@@ -1,7 +1,10 @@
-"""Legacy ASCII VTK output for 2D snapshots."""
+"""Legacy ASCII VTK output for 2D snapshots, one block write per section."""
 
 from __future__ import annotations
 
+import numpy as np
+
+from ._textio import write_rows
 from .core import ModelParams
 from .mesh import TriMesh
 from .solver2d import Field2D
@@ -25,17 +28,13 @@ def write_vtk(field: Field2D, mesh: TriMesh, path, params: ModelParams, title: s
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.17g} {y:.17g} 0\n")
+        write_rows(fh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]), " ", "\n")
         fh.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        write_rows(fh, np.column_stack([np.full(mesh.n_triangles, 3), mesh.triangles]), " ", "\n")
         fh.write(f"CELL_TYPES {mesh.n_triangles}\n")
-        for _ in range(mesh.n_triangles):
-            fh.write(f"{_TRIANGLE_CELL_TYPE}\n")
+        fh.write(f"{_TRIANGLE_CELL_TYPE}\n" * mesh.n_triangles)
         fh.write(f"POINT_DATA {mesh.n_nodes}\n")
         for name, values in (("B", field.B), ("p", field.p), ("P", field.P), ("Q", Q)):
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            for value in values:
-                fh.write(f"{value:.17g}\n")
+            write_rows(fh, values[:, None], "", "\n")

@@ -25,3 +25,13 @@ def params_case3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def edge_values():
+    """Doubles whose text form is easy to get wrong: signed zeros, the
+    smallest subnormal, magnitudes near the exponent limits, and nan."""
+    return np.array([
+        0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+        np.nan, 1.0 / 3.0, -2.5e6, 7.0,
+    ])

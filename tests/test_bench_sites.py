@@ -8,10 +8,12 @@ metrics into silent gaps; these checks catch that at test time.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from bloomsim import cli
 from bloomsim.core import HomState, default_params
 from bloomsim.ode import integrate_homogeneous
 from bloomsim.solver1d import Field1D, Grid1D, integrate_1d
@@ -50,3 +52,35 @@ def test_count_sites_are_entered(monkeypatch):
     grid = Grid1D(100.0, 11)
     integrate_1d(Field1D.uniform(grid, 5.0, 0.02, 0.15), grid, None, params, 1.0)
     assert all(counts.values()), counts
+
+
+# the writer span sites each subcommand enters; a writer called past its
+# bloomsim.cli lookup would drop out of the per-layer metrics unnoticed
+WRITER_RUNS = {
+    "stability": ({"n_max": 2}, {"export_csv"}),
+    "sim1d": ({"Nx": 11, "t_end": 1.0, "samples": 3}, {"write_trajectory_csv", "export_csv"}),
+    "sim2d": ({"mesh": "synthetic", "dt": 0.5, "t_end": 0.5, "output_times": [0.0, 0.5]},
+              {"write_vtk", "export_csv"}),
+    "sobol": ({"N": 2, "Nx": 11, "horizon": 10.0, "bin_days": 5.0, "sample_every": 1.0},
+              {"write_report_csv"}),
+}
+
+
+def test_cli_writer_sites_are_entered(tmp_path, monkeypatch):
+    writers = set().union(*(sites for _, sites in WRITER_RUNS.values()))
+    assert writers <= {attr for module_name, attr, *_ in TRACER.SPAN_SITES
+                       if module_name == "bloomsim.cli"}
+    entered = []
+    for attr in writers:
+        def recorded(*args, _fn=getattr(cli, attr), _attr=attr, **kwargs):
+            entered.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, attr, recorded)
+
+    for subcommand, (section, expected) in WRITER_RUNS.items():
+        path = tmp_path / f"{subcommand}.json"
+        path.write_text(json.dumps({"params": {"r": 1.0, "P_h": 2.0}, subcommand: section}))
+        entered.clear()
+        cli.run_config(path, subcommand, tmp_path / subcommand, seed=1)
+        assert set(entered) == expected, subcommand

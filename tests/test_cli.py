@@ -226,3 +226,30 @@ class TestMain:
         assert code == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    @pytest.mark.parametrize("name, value", [("BLOOM_SEED", "abc"), ("BLOOM_THREADS", "two")])
+    def test_malformed_env_is_usage_error(self, tmp_path, monkeypatch, capsys, name, value):
+        path = write_config(tmp_path, {"params": CASE2, "ode": {"t_end": 10.0}})
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["ode", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"invalid int value: '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_beats_env(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, {"params": CASE2, "stability": {"n_max": 3}})
+        monkeypatch.setenv("BLOOM_SEED", "5")
+        monkeypatch.setenv("BLOOM_THREADS", "two")
+        code = main(["stability", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "9", "--threads", "1"])
+        assert code == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 9
+
+    def test_empty_env_counts_as_unset(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, {"params": CASE2, "stability": {"n_max": 3}})
+        for name in ("BLOOM_SEED", "BLOOM_THREADS", "BLOOM_OUT"):
+            monkeypatch.setenv(name, "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["stability", "--config", str(path)]) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] is None

@@ -1,5 +1,7 @@
 """Mesh construction, gmsh parsing, refinement, and the lake fixture."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,27 @@ $EndElements
         assert back.n_nodes == mesh.n_nodes
         assert back.n_triangles == mesh.n_triangles
         assert back.total_area == pytest.approx(mesh.total_area)
+
+    def test_msh22_bytes_match_per_value_writer(self, tmp_path, edge_values):
+        lake = synthetic_lake_mesh()
+        # the writer reads only nodes, triangles and their counts, so the
+        # coordinates may carry values that no valid TriMesh admits
+        mesh = SimpleNamespace(nodes=np.resize(edge_values, (lake.n_nodes, 2)),
+                               triangles=lake.triangles, n_nodes=lake.n_nodes,
+                               n_triangles=lake.n_triangles)
+        write_msh22(mesh, tmp_path / "new.msh")
+        # the per-value writer that the batched one replaced, kept as the oracle
+        with open(tmp_path / "old.msh", "w", encoding="utf-8") as fh:
+            fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
+            fh.write(f"$Nodes\n{mesh.n_nodes}\n")
+            for i, (x, y) in enumerate(mesh.nodes, start=1):
+                fh.write(f"{i} {x:.17g} {y:.17g} 0\n")
+            fh.write("$EndNodes\n")
+            fh.write(f"$Elements\n{mesh.n_triangles}\n")
+            for i, (a, b, c) in enumerate(mesh.triangles, start=1):
+                fh.write(f"{i} 2 2 0 1 {a + 1} {b + 1} {c + 1}\n")
+            fh.write("$EndElements\n")
+        assert (tmp_path / "new.msh").read_bytes() == (tmp_path / "old.msh").read_bytes()
 
 
 class TestRefine:

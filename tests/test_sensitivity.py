@@ -5,11 +5,14 @@ variance decomposition is known in closed form, giving first-order indices
 (0.3139, 0.4424, 0) and total-order (0.5576, 0.4424, 0.2437).
 """
 
+import csv
+
 import numpy as np
 import pytest
 
 from bloomsim.core import default_params
 from bloomsim.sensitivity import (
+    SensitivityReport,
     SobolProblem,
     default_problem,
     estimate_indices,
@@ -217,3 +220,36 @@ class TestPipeline:
         assert lines[0] == "factor,bin_start,bin_end,S1_mean,S1_sd,ST_mean,ST_sd,N"
         assert len(lines) == 1 + 5 * 6
         assert lines[1].split(",")[0] == "z_m"
+
+    def test_csv_bytes_match_per_value_writer(self, small_report, tmp_path, edge_values):
+        edge = SensitivityReport(
+            factors=("z_m", "needs, quoting"),
+            bin_edges=edge_values[:7],
+            S1_mean=np.resize(edge_values, (2, 6)),
+            S1_sd=np.resize(np.roll(edge_values, 1), (2, 6)),
+            ST_mean=np.resize(np.roll(edge_values, 2), (2, 6)),
+            ST_sd=np.resize(np.roll(edge_values, 3), (2, 6)),
+            N=8,
+        )
+        for k, report in enumerate((small_report, edge)):
+            out, expected = tmp_path / f"report{k}.csv", tmp_path / f"expected{k}.csv"
+            write_report_csv(report, out)
+            # the per-value writer that the shared one replaced, kept as the oracle
+            with open(expected, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(
+                    ["factor", "bin_start", "bin_end", "S1_mean", "S1_sd", "ST_mean", "ST_sd", "N"]
+                )
+                for i, factor in enumerate(report.factors):
+                    for b in range(report.n_bins):
+                        writer.writerow([
+                            factor,
+                            f"{report.bin_edges[b]:.17g}",
+                            f"{report.bin_edges[b + 1]:.17g}",
+                            f"{report.S1_mean[i, b]:.17g}",
+                            f"{report.S1_sd[i, b]:.17g}",
+                            f"{report.ST_mean[i, b]:.17g}",
+                            f"{report.ST_sd[i, b]:.17g}",
+                            report.N,
+                        ])
+            assert out.read_bytes() == expected.read_bytes()

@@ -10,12 +10,14 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.sparse import lil_matrix
 
 from bloomsim.core import HomState, default_params, reaction_rhs
 from bloomsim.ode import IntegrationError, integrate_homogeneous
 from bloomsim.solver1d import (
     Field1D,
     Trajectory1D,
+    _jac_sparsity,
     _upwind_gradient,
     build_grid,
     integrate_1d,
@@ -94,6 +96,21 @@ class TestRhs:
         forward[-1] = 0.0
         expected = np.where(np.asarray(speed) > 0, backward, forward) / 0.37
         assert np.array_equal(_upwind_gradient(U, speed, 0.37), expected)
+
+
+@pytest.mark.parametrize("Nx", [3, 41, 101])
+def test_jac_sparsity_matches_loop_construction(Nx):
+    # the loop construction that the Kronecker form replaced, kept as the oracle
+    S = lil_matrix((4 * Nx, 4 * Nx), dtype=np.int8)
+    idx = np.arange(Nx)
+    for bi in range(4):
+        for bj in range(4):
+            S[bi * Nx + idx, bj * Nx + idx] = 1
+            S[bi * Nx + idx[1:], bj * Nx + idx[:-1]] = 1
+            S[bi * Nx + idx[:-1], bj * Nx + idx[1:]] = 1
+    pattern = _jac_sparsity(Nx)
+    assert pattern.format == "csr" and pattern.dtype == np.int8
+    assert np.array_equal(pattern.toarray(), S.toarray())
 
 
 class TestPureAdvection:

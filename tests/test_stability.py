@@ -6,12 +6,15 @@ at the homogeneous mode (R0 > 1) and for spatial modes n = 1, 2, 3 exactly,
 while the positive equilibrium is stable for every swept mode.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
 from bloomsim.core import HomState, q_hat, reaction_jacobian
 from bloomsim.ode import find_equilibrium
 from bloomsim.stability import (
+    ModeSpectrum,
     assemble_jacobian,
     eigen_3x3,
     mode_sweep,
@@ -234,3 +237,24 @@ class TestModeSweep:
         assert first[0] == "0" and first[1] == "0"
         # round-trip at full precision
         assert float(lines[1].split(",")[2]) == spectra[0].exact_eigenvalues[0].real
+
+    def test_csv_bytes_match_per_value_writer(self, tmp_path, params_case1, edge_values):
+        spectra, _ = mode_sweep(HomState(0.0, 0.0, params_case1.P_h), 3, 1.0, params_case1)
+        for k in range(4):
+            values = np.roll(edge_values, 3 * k)
+            spectra.append(ModeSpectrum(10 + k, values[:3] + 1j * values[3:6],
+                                        values[6:9] - 1j * values[9:12], np.eye(3)))
+        out = tmp_path / "spectrum.csv"
+        write_spectrum_csv(spectra, out)
+        # the per-value writer that the shared one replaced, kept as the oracle
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "i", "Re_exact", "Im_exact", "Re_approx", "Im_approx"])
+            for spectrum in spectra:
+                for i in range(3):
+                    ex = spectrum.exact_eigenvalues[i]
+                    ap = spectrum.approx_eigenvalues[i]
+                    writer.writerow([spectrum.n, i, f"{ex.real:.17g}", f"{ex.imag:.17g}",
+                                     f"{ap.real:.17g}", f"{ap.imag:.17g}"])
+        assert out.read_bytes() == expected.read_bytes()

@@ -1,10 +1,12 @@
 """Legacy VTK writer format checks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from bloomsim.core import default_params
-from bloomsim.mesh import two_triangle_square
+from bloomsim.mesh import synthetic_lake_mesh, two_triangle_square
 from bloomsim.solver2d import Field2D
 from bloomsim.vtkio import write_vtk
 
@@ -57,3 +59,43 @@ def test_size_mismatch_rejected(tmp_path):
     field = Field2D(np.ones(9), np.ones(9), np.ones(9))
     with pytest.raises(ValueError):
         write_vtk(field, mesh, tmp_path / "bad.vtk", default_params())
+
+
+def _write_vtk_per_value(field, mesh, path, params, title):
+    # the per-value writer that the batched one replaced, kept as the oracle
+    Q = field.quota(params)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"{title}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_nodes} double\n")
+        for x, y in mesh.nodes:
+            fh.write(f"{x:.17g} {y:.17g} 0\n")
+        fh.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
+        for a, b, c in mesh.triangles:
+            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"CELL_TYPES {mesh.n_triangles}\n")
+        for _ in range(mesh.n_triangles):
+            fh.write("5\n")
+        fh.write(f"POINT_DATA {mesh.n_nodes}\n")
+        for name, values in (("B", field.B), ("p", field.p), ("P", field.P), ("Q", Q)):
+            fh.write(f"SCALARS {name} double 1\n")
+            fh.write("LOOKUP_TABLE default\n")
+            for value in values:
+                fh.write(f"{value:.17g}\n")
+
+
+def test_bytes_match_per_value_writer(tmp_path, edge_values):
+    lake = synthetic_lake_mesh()
+    n = lake.n_nodes
+    # the writer reads only nodes, triangles and their counts, so the
+    # coordinates may carry values that no valid TriMesh admits
+    mesh = SimpleNamespace(nodes=np.resize(edge_values, (n, 2)), triangles=lake.triangles,
+                           n_nodes=n, n_triangles=lake.n_triangles)
+    field = Field2D(*(np.roll(np.resize(edge_values, n), k) for k in range(3)))
+    params = default_params()
+    with np.errstate(all="ignore"):
+        write_vtk(field, mesh, tmp_path / "new.vtk", params, title="t=0.5")
+        _write_vtk_per_value(field, mesh, tmp_path / "old.vtk", params, title="t=0.5")
+    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
