@@ -256,7 +256,8 @@ def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
         ["t_end", "B_max", "B_min", "extinction"],
         summary_path,
     )
-    return [sol_path, summary_path], {"extinction": extinct}
+    counters = {key: getattr(traj, key) for key in ("nfev", "njev", "nlu")}
+    return [sol_path, summary_path], {"extinction": extinct, "counters": counters}
 
 
 def _run_sim2d(config, params, out_dir, seed, threads, base_dir):

@@ -198,7 +198,7 @@ class HomState:
     def __post_init__(self) -> None:
         for name in ("B", "p", "P"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise DomainError(f"state component {name} must be >= 0, got {value!r}")
 
     def quota(self, params: ModelParams) -> float:
@@ -386,10 +386,12 @@ class _Reactions(NamedTuple):
     jacobian: np.ndarray | None    # (3, 3, n) d(rates)/d(B, p, P), on request
     h: np.ndarray                  # growth_h at the clipped biomass
     uptake: np.ndarray             # rho_m/(Q_M - Q_m) P/(P + M), clipped P
+    h_prime: np.ndarray | None     # d h/d B, with the clamp's slope, on request
+    uptake_prime: np.ndarray | None  # d uptake/d P, with the clamp's slope, on request
 
 
 def _reaction_kernel(
-    B, p, P, q_inv, params: ModelParams, jacobian: bool = False
+    B, p, P, q_inv, params: ModelParams, jacobian: bool = False, fixed_quota: bool = False
 ) -> _Reactions:
     """The pointwise reaction terms, the only implementation of them.
 
@@ -398,10 +400,14 @@ def _reaction_kernel(
     ``1 - Q_m q_inv``.  Nonlinear coefficients see the states clipped to
     >= 0, so slightly negative trial iterates cannot blow up; the linear
     loss and exchange terms see the raw states, which keeps the uptake and
-    recycling cancellation between the p and P rows exact.  The Jacobian
-    ignores the slope of the clamp and differentiates ``q_inv`` as
-    B/(p + c) for a constant c, exactly what the ODE and 2D quotas are.
-    No domain checks: the public kernels hold them.
+    recycling cancellation between the p and P rows exact.
+
+    The Jacobian takes the clamp's slope, one at zero and above and zero at
+    negative states.  It differentiates ``q_inv`` as B/(p + c) for a
+    constant c, exactly what the ODE and 2D quotas are; with
+    ``fixed_quota`` it holds ``q_inv`` fixed instead (the 1D quota depends
+    on Q alone), and the caller chains d(dB)/d(q_inv) = -r Q_m h max(B, 0)
+    through its own quota.  No domain checks: the public kernels hold them.
     """
     Bc = np.maximum(B, 0.0)
     pc = np.maximum(p, 0.0)
@@ -421,28 +427,35 @@ def _reaction_kernel(
         ]
     )
     if not jacobian:
-        return _Reactions(rates, None, h, uptake)
+        return _Reactions(rates, None, h, uptake, None, None)
 
-    a11 = (
-        params.r * (1.0 - 2.0 * params.Q_m * q_inv) * h
-        + params.r * (1.0 - params.Q_m * q_inv) * h_prime * Bc
-        - loss
-    )
-    a12 = params.r * params.Q_m * q_inv**2 * h
-    a21 = params.Q_M * uptake
-    a23 = (
-        params.rho_m / (params.Q_M - params.Q_m)
-        * (params.Q_M * Bc - pc)
-        * params.M / (Pc + params.M) ** 2
-    )
+    slope_B, slope_p, slope_P = B >= 0, p >= 0, P >= 0
+    h_prime = h_prime * slope_B
+    coefficient = params.rho_m / (params.Q_M - params.Q_m)
+    saturation = (Pc + params.M) ** 2
+    uptake_prime = coefficient * params.M / saturation * slope_P
+    growth = params.r * (1.0 - params.Q_m * q_inv)
+    if fixed_quota:
+        a11 = growth * h * slope_B + growth * h_prime * Bc - loss
+        a12 = np.zeros(Bc.shape)
+    else:
+        a11 = (
+            params.r * (1.0 - 2.0 * params.Q_m * q_inv) * h * slope_B
+            + growth * h_prime * Bc
+            - loss
+        )
+        a12 = params.r * params.Q_m * q_inv**2 * h * slope_B
+    a21 = params.Q_M * uptake * slope_B
+    a22 = uptake * slope_p
+    a23 = coefficient * (params.Q_M * Bc - pc) * params.M / saturation * slope_P
     jac = np.array(
         [
             [a11, a12, np.zeros(Bc.shape)],
-            [a21, -uptake - loss, a23],
-            [-a21, uptake + params.l, -params.exchange - a23],
+            [a21, -a22 - loss, a23],
+            [-a21, a22 + params.l, -params.exchange - a23],
         ]
     )
-    return _Reactions(rates, jac, h, uptake)
+    return _Reactions(rates, jac, h, uptake, h_prime, uptake_prime)
 
 
 def reaction_rhs(state: HomState, params: ModelParams) -> np.ndarray:

@@ -14,8 +14,9 @@ assumed.  Spatial terms on the uniform grid:
   which makes the plain nodal sum of the diffusion terms vanish exactly
   (a discretely conservative closure).
 
-Time integration uses the adaptive implicit BDF scheme with a banded
-Jacobian sparsity pattern.  Trajectories export as long-format CSV with 17
+Time integration uses the adaptive implicit BDF scheme with the exact
+sparse Jacobian: four-by-four blocks of tridiagonal bands, assembled into a
+fixed CSC pattern.  Trajectories export as long-format CSV with 17
 significant digits, one block write per sample.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.sparse import diags, kron
+from scipy.sparse import csc_matrix, diags, kron
 
 from ._textio import write_rows
 from .core import EPS_B, ModelParams, _reaction_kernel
@@ -157,32 +158,44 @@ class Field1D:
             raise ValueError(f"p and Q*B inconsistent: rel err {err:.3e}")
 
 
-def _laplacian(U: np.ndarray, dx: float) -> np.ndarray:
-    # ghost value := boundary value, so the nodal sum telescopes to zero
-    out = np.empty_like(U)
-    out[1:-1] = U[2:] - 2.0 * U[1:-1] + U[:-2]
-    out[0] = U[1] - U[0]
-    out[-1] = U[-2] - U[-1]
-    return out / dx**2
+def _differences(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # backward and forward differences of each row of U, from one
+    # zero-padded buffer; the ghosts copy the boundary value, so the
+    # difference across each end is 0
+    padded = np.zeros((U.shape[0], U.shape[1] + 1))
+    np.subtract(U[:, 1:], U[:, :-1], out=padded[:, 1:-1])
+    return padded[:, :-1], padded[:, 1:]
 
 
-def _upwind_gradient(U: np.ndarray, speed, dx: float) -> np.ndarray:
+def _upwind_gradient(backward: np.ndarray, forward: np.ndarray, speed, dx: float) -> np.ndarray:
     # one-sided difference taken from the upwind side of the local speed;
     # boundary ghosts copy the boundary value, so the upwind slope there is 0
-    padded = np.zeros(U.size + 1)
-    np.subtract(U[1:], U[:-1], out=padded[1:-1])
-    backward, forward = padded[:-1], padded[1:]
-    if np.ndim(speed) == 0:
-        return (backward if speed > 0 else forward) / dx
     return np.where(speed > 0, backward, forward) / dx
 
 
-def _central_gradient(U: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(U)
-    out[1:-1] = (U[2:] - U[:-2]) / (2.0 * dx)
-    out[0] = (U[1] - U[0]) / (2.0 * dx)
-    out[-1] = (U[-1] - U[-2]) / (2.0 * dx)
-    return out
+def _transport(U: np.ndarray, v: float, dx: float, params: ModelParams):
+    """Stencil terms of the stacked (B, Q, P, p) rows, in one pass.
+
+    Returns the first differences, the (4, Nx) transport speeds, the
+    central gradient of B and the guarded biomass max(B, EPS_B) of the Q
+    speed.  Q is carried at the combined speed beta_B v - 2 alpha B_x / B.
+    """
+    backward, forward = _differences(U)
+    central = (backward[0] + forward[0]) / (2.0 * dx)
+    guarded = np.maximum(U[0], EPS_B)
+    speeds = np.empty(U.shape)
+    speeds[[0, 3]] = params.beta_B * v
+    speeds[2] = params.beta_P * v
+    speeds[1] = speeds[0] - 2.0 * params.alpha * central / guarded
+    return backward, forward, speeds, central, guarded
+
+
+# rows of the reaction kernel's (B, p, P) in the stacked (B, Q, P, p) state
+_KERNEL_ROWS = np.array([0, 3, 2])
+
+
+def _diffusivities(params: ModelParams) -> np.ndarray:
+    return np.array([[params.alpha], [params.alpha], [params.beta], [params.alpha]])
 
 
 def rhs_1d(
@@ -195,42 +208,36 @@ def rhs_1d(
     """Per-node time derivatives of (B, Q, P, p) at time ``t``.
 
     The scalar transect wind is the east component of the supplied wind
-    evaluator.  The B, p and P reaction terms come from the shared reaction
-    kernel with the inverse growth quota 1/clip(Q, Q_m, Q_M), so like the
-    2D solver they see states clipped to >= 0 in their nonlinear
-    coefficients; the Q row reuses the kernel's h(B) and uptake
-    coefficient.  With spatially constant fields and still water the
-    derivative reduces to the homogeneous reaction rates at every node.
+    evaluator.  The Laplacian and upwind differences of all four fields
+    come from one pass over the stacked fields.  The B, p and P reaction
+    terms come from the shared reaction kernel with the inverse growth
+    quota 1/clip(Q, Q_m, Q_M), so like the 2D solver they see states
+    clipped to >= 0 in their nonlinear coefficients; the Q row reuses the
+    kernel's h(B) and uptake coefficient.  With spatially constant fields
+    and still water the derivative reduces to the homogeneous reaction
+    rates at every node.
     """
     dx = grid.dx
     v = float(as_wind(wind)(t)[0])
-    B, Q, P, p = fields.B, fields.Q, fields.P, fields.p
+    U = np.stack((fields.B, fields.Q, fields.P, fields.p))
+    B, Q, P, p = U
+    backward, forward, speeds, _, _ = _transport(U, v, dx, params)
+    dU = (
+        _diffusivities(params) * ((forward - backward) / dx**2)
+        - speeds * _upwind_gradient(backward, forward, speeds, dx)
+    )
 
     # clip the quota to its invariant tube so that integrator trial steps
     # slightly outside it cannot divide by a vanishing Q
     Qc = np.clip(Q, params.Q_m, params.Q_M)
-    (R_B, R_p, R_P), _, hB, uptake = _reaction_kernel(B, p, P, 1.0 / Qc, params)
-
-    a_B = params.beta_B * v
-    a_P = params.beta_P * v
-    # Q is carried at the combined speed beta_B v - 2 alpha B_x / B; the
-    # coefficient's B_x is a central difference, guarded where B vanishes
-    a_Q = a_B - 2.0 * params.alpha * _central_gradient(B, dx) / np.maximum(B, EPS_B)
-
-    dB = params.alpha * _laplacian(B, dx) - a_B * _upwind_gradient(B, a_B, dx) + R_B
-    dQ = (
-        params.alpha * _laplacian(Q, dx)
-        - a_Q * _upwind_gradient(Q, a_Q, dx)
-        + uptake * (params.Q_M - Qc)
-        - params.r * (Q - params.Q_m) * hB
-    )
+    react = _reaction_kernel(B, p, P, 1.0 / Qc, params)
     # uptake and recycling enter R_P and R_p through the areal forms eta and
     # l*p (equal to rho(Q,P)*B and l*Q*B when p = Q B); written this way they
     # cancel between the two rows identically, keeping the closed phosphorus
     # budget exact in the discretization
-    dP = params.beta * _laplacian(P, dx) - a_P * _upwind_gradient(P, a_P, dx) + R_P
-    dp = params.alpha * _laplacian(p, dx) - a_B * _upwind_gradient(p, a_B, dx) + R_p
-    return Field1D(dB, dQ, dP, dp)
+    dU[_KERNEL_ROWS] += react.rates
+    dU[1] += react.uptake * (params.Q_M - Qc) - params.r * (Q - params.Q_m) * react.h
+    return Field1D(*dU)
 
 
 def _jac_sparsity(Nx: int):
@@ -240,14 +247,95 @@ def _jac_sparsity(Nx: int):
     return kron(np.ones((4, 4), dtype=np.int8), tridiagonal, format="csr")
 
 
+def _band_layout(Nx: int):
+    # the CSC pattern of _jac_sparsity(Nx) and, for each stored entry, its
+    # position in the (4, 4, 3, Nx) band array: band[a, b, k, i] is the
+    # entry at row a*Nx + i, column b*Nx + i + k - 1
+    pattern = _jac_sparsity(Nx).tocsc()
+    rows = pattern.indices
+    cols = np.repeat(np.arange(4 * Nx), np.diff(pattern.indptr))
+    a, i = np.divmod(rows, Nx)
+    b, j = np.divmod(cols, Nx)
+    return pattern, np.ravel_multi_index((a, b, j - i + 1, i), (4, 4, 3, Nx))
+
+
+def _three_point(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    # (sub, diag, super) bands of a difference operator under the ghost-copy
+    # closure: coefficients of U[i-1], U[i], U[i+1] in row i summing to zero,
+    # with no neighbour beyond either end
+    sub, sup = sub.copy(), sup.copy()
+    sub[..., 0] = 0.0
+    sup[..., -1] = 0.0
+    return np.stack((sub, -(sub + sup), sup), axis=-2)
+
+
+def _jacobian_1d(
+    y: np.ndarray, t: float, grid: Grid1D, wind_fn, params: ModelParams, layout
+) -> csc_matrix:
+    """Exact Jacobian of the stacked ``rhs_1d`` on the fixed sparsity pattern.
+
+    Each upwind stencil is frozen at the current sign of its speed; the Q
+    speed's dependence on B is differentiated, with the slope of
+    max(B, EPS_B) taken as 1 above EPS_B and 0 at or below it.  Reaction
+    blocks come from the shared kernel at fixed quota, chained through
+    1/clip(Q, Q_m, Q_M) with the clip's slope 1 on the closed tube.
+    """
+    Nx, dx = grid.Nx, grid.dx
+    U = y.reshape(4, Nx)
+    B, Q, P, p = U
+    v = float(wind_fn(t)[0])
+    backward, forward, speeds, central, guarded = _transport(U, v, dx, params)
+    band = np.zeros((4, 4, 3, Nx))
+
+    # diffusion and upwind advection of each field
+    diffusion = _diffusivities(params) / dx**2
+    upwind = speeds / dx
+    ahead = speeds > 0
+    fields = np.arange(4)
+    band[fields, fields] = _three_point(
+        diffusion + np.where(ahead, upwind, 0.0), diffusion - np.where(ahead, 0.0, upwind)
+    )
+
+    # the Q speed through B: -a_Q G(Q) with a_Q = a_B - 2 alpha C(B)/max(B, EPS_B)
+    weight = 2.0 * params.alpha * _upwind_gradient(backward[1], forward[1], speeds[1], dx) / guarded
+    half = np.full(Nx, 0.5 / dx)
+    band[1, 0] += weight * _three_point(-half, half)
+    band[1, 0, 1] -= weight * central / guarded * (B > EPS_B)
+
+    # reactions: the kernel's (B, p, P) blocks at fixed quota, the growth
+    # row's d/dQ = (-r Q_m h max(B, 0)) * d(q_inv)/dQ with d(q_inv)/dQ =
+    # -q_inv^2 on the tube, and the Q row
+    Qc = np.clip(Q, params.Q_m, params.Q_M)
+    q_inv = 1.0 / Qc
+    tube = (Q >= params.Q_m) & (Q <= params.Q_M)
+    react = _reaction_kernel(B, p, P, q_inv, params, jacobian=True, fixed_quota=True)
+    band[_KERNEL_ROWS[:, None], _KERNEL_ROWS, 1] += react.jacobian
+    band[0, 1, 1] += params.r * params.Q_m * react.h * np.maximum(B, 0.0) * q_inv**2 * tube
+    band[1, 1, 1] -= react.uptake * tube + params.r * react.h
+    band[1, 0, 1] -= params.r * (Q - params.Q_m) * react.h_prime
+    band[1, 2, 1] += react.uptake_prime * (params.Q_M - Qc)
+
+    pattern, source = layout
+    return csc_matrix((band.reshape(-1)[source], pattern.indices, pattern.indptr),
+                      shape=pattern.shape)
+
+
 @dataclass(frozen=True)
 class Trajectory1D:
-    """Sampled transect solution: fields[i] at times[i]."""
+    """Sampled transect solution: fields[i] at times[i].
+
+    ``nfev``, ``njev`` and ``nlu`` are the integrator's counts of
+    right-hand side evaluations, Jacobian evaluations and LU
+    factorizations.
+    """
 
     times: np.ndarray
     fields: list
     grid: Grid1D
     params: ModelParams
+    nfev: int = 0
+    njev: int = 0
+    nlu: int = 0
 
     def array(self, name: str) -> np.ndarray:
         """(n_samples, Nx) array of one component."""
@@ -271,20 +359,33 @@ def integrate_1d(
 ) -> Trajectory1D:
     """Integrate the transect model to ``t_end`` with samples on request.
 
+    BDF gets the exact sparse Jacobian of the right-hand side.
+
     Raises
     ------
+    ValueError
+        If ``t_end``, ``rtol`` or ``atol`` is not positive, or the initial
+        field does not match the grid.
     IntegrationError
         On stiffness failure, carrying the last reached state.
     """
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
+    if not (rtol > 0 and atol > 0):
+        raise ValueError("tolerances must be positive")
     if initial.B.size != grid.Nx:
         raise ValueError("initial field does not match the grid")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 11)
     sample_times = np.asarray(sample_times, dtype=float)
     wind_fn = as_wind(wind)
+    layout = _band_layout(grid.Nx)
 
     def rhs_flat(t, y):
         return rhs_1d(Field1D.unstack(y), t, grid, wind_fn, params).stack()
+
+    def jac_flat(t, y):
+        return _jacobian_1d(y, t, grid, wind_fn, params, layout)
 
     try:
         sol = solve_ivp(
@@ -295,7 +396,7 @@ def integrate_1d(
             rtol=rtol,
             atol=atol,
             t_eval=sample_times,
-            jac_sparsity=_jac_sparsity(grid.Nx),
+            jac=jac_flat,
         )
     except (RuntimeError, ValueError) as exc:
         # singular iteration matrices (e.g. non-finite forcing) surface as
@@ -307,7 +408,7 @@ def integrate_1d(
         raise IntegrationError(f"1D integration failed: {sol.message}", t_last,
                                sol.y[:, -1] if sol.t.size else initial.stack())
     fields = [Field1D.unstack(sol.y[:, i]) for i in range(sol.t.size)]
-    traj = Trajectory1D(sol.t, fields, grid, params)
+    traj = Trajectory1D(sol.t, fields, grid, params, sol.nfev, sol.njev, sol.nlu)
     if validate:
         traj.validate()
     return traj

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import bloomsim.solver1d
 from bloomsim.cli import ConfigError, export_csv, load_config, main, run_config
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -118,6 +119,30 @@ class TestSubcommands:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[1].split(",")[-1] == "true"
         assert (out / "solution.csv").exists()
+
+    def test_sim1d_manifest_counters_match_rhs_calls(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=bloomsim.solver1d.rhs_1d, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bloomsim.solver1d, "rhs_1d", counted)
+        path = write_config(
+            tmp_path,
+            {
+                "params": CASE3,
+                "sim1d": {"Nx": 21, "t_end": 10.0, "samples": 3,
+                          "wind": {"mode": "synthetic", "amplitude": 40.0}},
+            },
+        )
+        out = tmp_path / "out"
+        run_config(path, "sim1d", out)
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert set(counters) == {"nfev", "njev", "nlu"}
+        # a finite-difference Jacobian would call rhs_1d past the nfev count
+        assert counters["nfev"] == len(calls) > 0
+        assert 0 < counters["njev"] <= counters["nlu"]
 
     def test_sim2d_writes_snapshots(self, tmp_path):
         path = write_config(

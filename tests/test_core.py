@@ -308,6 +308,14 @@ class TestHomState:
         with pytest.raises(DomainError):
             HomState(-1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, np.float64(math.nan)])
+    @pytest.mark.parametrize("component", range(3))
+    def test_rejects_non_finite_and_negative_in_every_component(self, bad, component):
+        values = [1.0, 0.02, 0.1]
+        values[component] = bad
+        with pytest.raises(DomainError):
+            HomState(*values)
+
     def test_quota_guard_at_extinction(self, params_case2):
         st0 = HomState(0.0, 0.0, 0.3)
         assert st0.quota(params_case2) == pytest.approx(q_hat(params_case2))

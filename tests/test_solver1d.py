@@ -10,21 +10,29 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.sparse import lil_matrix
 
-from bloomsim.core import HomState, default_params, reaction_rhs
+import bloomsim.solver1d
+from bloomsim.core import EPS_B, HomState, default_params, reaction_rhs
 from bloomsim.ode import IntegrationError, integrate_homogeneous
 from bloomsim.solver1d import (
     Field1D,
     Trajectory1D,
+    _band_layout,
+    _differences,
     _jac_sparsity,
+    _jacobian_1d,
+    _transport,
     _upwind_gradient,
     build_grid,
     integrate_1d,
     rhs_1d,
     write_trajectory_csv,
 )
-from bloomsim.wind import synthetic_wind
+from bloomsim.wind import as_wind, synthetic_wind
 
 
 class TestGrid:
@@ -85,8 +93,7 @@ class TestRhs:
          np.linspace(-1.0, 1.0, 9)],
     )
     def test_upwind_gradient_matches_two_sided_formula(self, speed):
-        # the formula before the scalar fast path: both one-sided differences
-        # in full, selected per node
+        # both one-sided differences written out in full, selected per node
         U = np.array([0.3, 1.7, 1.1, 1e-12, 0.0, 5.0, 4.999999, -0.2, 0.8])
         backward = np.empty_like(U)
         forward = np.empty_like(U)
@@ -95,7 +102,8 @@ class TestRhs:
         forward[:-1] = U[1:] - U[:-1]
         forward[-1] = 0.0
         expected = np.where(np.asarray(speed) > 0, backward, forward) / 0.37
-        assert np.array_equal(_upwind_gradient(U, speed, 0.37), expected)
+        got = _upwind_gradient(*_differences(U[None, :]), speed, 0.37)[0]
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("Nx", [3, 41, 101])
@@ -111,6 +119,145 @@ def test_jac_sparsity_matches_loop_construction(Nx):
     pattern = _jac_sparsity(Nx)
     assert pattern.format == "csr" and pattern.dtype == np.int8
     assert np.array_equal(pattern.toarray(), S.toarray())
+
+
+FIELDS = "BQPp"
+
+
+@st.composite
+def transect_states(draw):
+    """Parameters, wind and a (B, Q, P, p) state from the admitted domain.
+
+    Movement coefficients and P_h may be zero; B, p and P nodes may be zero
+    or slightly negative and Q slightly outside its tube (integrator trial
+    states), Q may sit on either edge of its tube, and the wind blows
+    either way or not at all.
+    """
+    params = default_params(
+        r=draw(st.floats(0.2, 3.0)),
+        P_h=draw(st.sampled_from([0.0, 0.2, 2.0])),
+        alpha=draw(st.sampled_from([0.0, 0.01, 2.0])),
+        beta=draw(st.sampled_from([0.0, 0.02, 3.0])),
+        beta_B=draw(st.sampled_from([0.0, 0.05])),
+        beta_P=draw(st.sampled_from([0.0, 0.075])),
+    )
+    v = draw(st.sampled_from([-30.0, 0.0, 30.0]))
+    Nx = draw(st.integers(3, 9))
+    grid = build_grid(draw(st.sampled_from([10.0, 1000.0])), Nx)
+
+    def nodes(positive, special):
+        kinds = draw(st.lists(st.sampled_from(["positive"] * 3 + list(special)),
+                              min_size=Nx, max_size=Nx))
+        values = draw(st.lists(positive, min_size=Nx, max_size=Nx))
+        return np.array([{"positive": x, "zero": 0.0, "negative": -1e-4 * x}[k]
+                         for k, x in zip(kinds, values)])
+
+    B = nodes(st.floats(0.05, 20.0), ["zero", "negative"])
+    Q = nodes(st.floats(params.Q_m, params.Q_M), [])
+    for edge, outside in ((params.Q_m, 0.999 * params.Q_m), (params.Q_M, 1.001 * params.Q_M)):
+        Q[draw(st.lists(st.integers(0, Nx - 1), max_size=2))] = edge
+        Q[draw(st.lists(st.integers(0, Nx - 1), max_size=1))] = outside
+    P = nodes(st.floats(0.01, 2.0), ["zero", "negative"])
+    p = nodes(st.floats(0.01, 0.5), ["zero", "negative"]) * np.where(B > 0, B * Q, 1.0)
+
+    # where the Q speed beta_B v - 2 alpha B_x / max(B, EPS_B) is at or near
+    # zero, or steps through the EPS_B guard, its upwind side flips within a
+    # difference step; a locally flat quota makes both sides agree there
+    _, _, speeds, central, guarded = _transport(np.array([B, Q, P, p]), v, grid.dx, params)
+    scale = abs(params.beta_B * v) + 2.0 * params.alpha * np.abs(central) / guarded
+    flat = np.zeros(Nx + 1, dtype=bool)
+    for i in np.flatnonzero((B <= EPS_B) | (np.abs(speeds[1]) <= 1e-3 * scale)):
+        flat[max(i - 1, 0) : i + 2] = True
+    for i in range(1, Nx):
+        if flat[i - 1] and flat[i]:
+            Q[i] = Q[i - 1]
+    return params, v, grid, np.concatenate([B, Q, P, p])
+
+
+def difference_jacobian(y, grid, wind, params):
+    """Column-wise differences of the stacked right-hand side.
+
+    Central differences away from the clamps.  At a clamp the difference is
+    one-sided, taken on the side whose slope the exact Jacobian uses: into
+    the quota tube at its edges, upwards at a zero state.  Below zero, and
+    for Q outside its tube, every term is affine in the state, so a step
+    away from the clamp is exact.
+    """
+    Nx = grid.Nx
+    Q_m, Q_M = params.Q_m, params.Q_M
+
+    def f(z):
+        return rhs_1d(Field1D.unstack(z), 0.0, grid, wind, params).stack()
+
+    J = np.empty((y.size, y.size))
+    for j in range(y.size):
+        field, value = FIELDS[j // Nx], y[j]
+        # Q enters through 1/Q, so its step follows its own size
+        h = 1e-5 * value if field == "Q" else 1e-4 * max(abs(value), 0.1)
+        step = np.zeros_like(y)
+        step[j] = h
+        if value < (Q_m if field == "Q" else 0.0):
+            J[:, j] = (f(y) - f(y - step)) / h
+        elif field == "Q" and value > Q_M:
+            J[:, j] = (f(y + step) - f(y)) / h
+        elif value < 2 * h or (field == "Q" and min(value - Q_m, Q_M - value) < 2 * h):
+            # second-order one-sided: downwards near the top of the quota
+            # tube, upwards otherwise
+            side = -step if field == "Q" and Q_M - value < 2 * h else step
+            f0 = f(y)
+            J[:, j] = (4.0 * (f(y + side) - f0) - (f(y + 2 * side) - f0)) / (2 * side[j])
+        else:
+            J[:, j] = (f(y + step) - f(y - step)) / (2 * h)
+    return J
+
+
+class TestExactJacobian:
+    @settings(max_examples=80, deadline=None)
+    @given(transect_states())
+    def test_blocks_match_differences(self, case):
+        params, v, grid, y = case
+        wind = lambda t: (v, 0.0)  # noqa: E731
+        J = _jacobian_1d(y, 0.0, grid, wind, params, _band_layout(grid.Nx))
+        assert J.format == "csc"
+        J = J.toarray()
+        reference = difference_jacobian(y, grid, wind, params)
+        Nx = grid.Nx
+        for a in range(4):
+            for b in range(4):
+                block = np.s_[a * Nx : (a + 1) * Nx, b * Nx : (b + 1) * Nx]
+                err = np.abs(J[block] - reference[block]).max()
+                size = max(np.abs(J[block]).max(), np.abs(J[a * Nx : (a + 1) * Nx]).max() * 1e-3)
+                assert err <= 1e-7 * size, (FIELDS[a], FIELDS[b], err, size)
+
+    def test_assembly_calls_no_rhs(self, monkeypatch, params_case3):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Jacobian must not evaluate rhs_1d")
+
+        monkeypatch.setattr(bloomsim.solver1d, "rhs_1d", forbidden)
+        grid = build_grid(1000.0, 41)
+        y = Field1D.bump(grid, P0=0.2).stack()
+        J = _jacobian_1d(y, 0.0, grid, as_wind(synthetic_wind(40.0, 9.0)), params_case3,
+                         _band_layout(grid.Nx))
+        assert J.nnz == _jac_sparsity(grid.Nx).nnz
+
+    def test_windy_run_matches_difference_jacobian_path(self, params_case3):
+        # the finite-difference path the exact Jacobian replaced: BDF given
+        # only the sparsity pattern
+        grid = build_grid(1000.0, 41)
+        f0 = Field1D.bump(grid, P0=0.2)
+        wind = as_wind(synthetic_wind(40.0, 9.0))
+        times = np.linspace(0.0, 30.0, 7)
+        traj = integrate_1d(f0, grid, wind, params_case3, 30.0, rtol=1e-8, atol=1e-10,
+                            sample_times=times)
+        oracle = solve_ivp(
+            lambda t, y: rhs_1d(Field1D.unstack(y), t, grid, wind, params_case3).stack(),
+            (0.0, 30.0), f0.stack(), method="BDF", rtol=1e-8, atol=1e-10, t_eval=times,
+            jac_sparsity=_jac_sparsity(grid.Nx),
+        )
+        got = np.array([f.stack() for f in traj.fields])
+        assert traj.njev > 0
+        # within the tolerances both runs were given
+        assert np.allclose(got, oracle.y.T, rtol=1e-8, atol=1e-10)
 
 
 class TestPureAdvection:
@@ -238,6 +385,16 @@ class TestIntegrate:
                             params_case3, 40.0, sample_times=times)
         assert np.allclose(traj.times, times)
         assert len(traj.fields) == 3
+
+    @pytest.mark.parametrize(
+        "t_end, tolerances",
+        [(0.0, {}), (-5.0, {}), (10.0, {"rtol": 0.0}), (10.0, {"atol": -1e-10})],
+    )
+    def test_rejects_non_positive_horizon_and_tolerances(self, params_case3, t_end, tolerances):
+        grid = build_grid(500.0, 11)
+        with pytest.raises(ValueError):
+            integrate_1d(Field1D.bump(grid, P0=0.2), grid, None, params_case3, t_end,
+                         **tolerances)
 
     def test_mismatched_initial_grid(self, params_case3):
         grid = build_grid(500.0, 31)

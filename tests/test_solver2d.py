@@ -138,7 +138,8 @@ def full_newton_step(U_n, dt, t_next, mesh, wind, params, tol=1e-12, max_iter=25
     for _ in range(max_iter):
         B, p, P = np.split(y, 3)
         q_inv = np.maximum(B, 0.0) / (np.maximum(p, 0.0) + EPS_P)
-        rates, jac, _, _ = _reaction_kernel(B, p, P, q_inv, params, True)
+        react = _reaction_kernel(B, p, P, q_inv, params, True)
+        rates, jac = react.rates, react.jacobian
         F = np.concatenate([m * (u - u0) + dt * (Li @ u - m * R)
                             for u, u0, Li, R in zip((B, p, P), old, L, rates)])
         if np.linalg.norm(F) <= tol * scale:
