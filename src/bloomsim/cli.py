@@ -198,7 +198,9 @@ def _run_ode(config, params, out_dir, seed, threads, base_dir):
         ["B", "p", "P", "Q", "R0"],
         final_path,
     )
-    return [traj_path, final_path], {"final_state": [final.B, final.p, final.P]}
+    counters = {key: getattr(traj, key) for key in ("nfev", "njev", "nlu")}
+    return [traj_path, final_path], {"final_state": [final.B, final.p, final.P],
+                                     "counters": counters}
 
 
 def _run_stability(config, params, out_dir, seed, threads, base_dir):

@@ -335,6 +335,11 @@ def r0(params: ModelParams) -> float:
 
     ``r0 = r h(0) (1 - Q_m / q_hat) / (l + D/z_m)``.  Blooms persist when
     this exceeds one; it vanishes exactly when P_h = 0.
+
+    Caveat: like :func:`q_hat`, this ignores the external source P_in, so
+    with P_in > 0 it can misjudge persistence.  For r = 1, P_h = 0 and
+    P_in = 0.01 it is 0, yet the extinction state (0, 0, 2.5) has a growing
+    eigenvalue of +3.52 and the system blooms to B ~ 179.
     """
     qh = q_hat(params)
     return params.r * growth_h(0.0, params) * (1.0 - params.Q_m / qh) / params.total_loss

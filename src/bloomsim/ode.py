@@ -3,8 +3,22 @@
 The homogeneous (well-mixed) limit of the lake model is a stiff three-state
 ODE.  This module integrates it with an adaptive implicit multistep scheme
 (BDF, via SciPy) using the analytic reaction Jacobian, and locates the
-extinction and positive equilibria with a damped Newton iteration that falls
-back on long-time integration when the initial guess is poor.
+extinction and positive equilibria.
+
+The positive equilibrium is the root of one scalar equation in the biomass.
+With L = l + D/z_m and the quota-free uptake coefficient
+rho~(P) = rho_m/(Q_M - Q_m) P/(P + M):
+
+* dB = 0 fixes the quota, Q(B) = Q_m / (1 - L/(r h(B)));
+* dp + dP = 0 fixes the dissolved pool, P = T - Q(B) B, with the phosphorus
+  budget T = P_h + P_in z_m/D (or, when D = 0 and the budget is closed, the
+  p + P of the start state);
+* dp = 0 leaves G(B) = rho~(T - Q(B) B) (Q_M - Q(B)) - L Q(B) = 0.
+
+G strictly decreases wherever r h(B) > L, Q(B) < Q_M and P >= 0, so the
+positive root is unique; it is bracketed by doubling, found with Brent's
+method and polished by a damped Newton iteration on the full system, which
+also checks the residual.
 """
 
 from __future__ import annotations
@@ -13,12 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .core import (
     EPS_B,
     HomState,
     ModelParams,
+    _growth_h,
     _quota,
+    _rho_tilde,
     q_hat,
     r0,
     reaction_jacobian,
@@ -33,11 +50,6 @@ __all__ = [
     "integrate_homogeneous",
     "find_equilibrium",
 ]
-
-#: Integration horizon treated as "long enough to be at equilibrium" by the
-#: positive-equilibrium fallback.
-EQUILIBRIUM_HORIZON = 4000.0
-
 
 class IntegrationError(RuntimeError):
     """Stiffness or step-size failure; carries the last good state."""
@@ -59,11 +71,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class HomTrajectory:
-    """Sampled solution of the homogeneous system."""
+    """Sampled solution of the homogeneous system.
+
+    ``nfev``, ``njev`` and ``nlu`` are the integrator's counts of
+    right-hand-side evaluations, Jacobian evaluations and LU
+    factorizations; they stay zero for a trajectory built by hand.
+    """
 
     t: np.ndarray          # (nt,)
     y: np.ndarray          # (3, nt) rows B, p, P
     params: ModelParams
+    nfev: int = 0
+    njev: int = 0
+    nlu: int = 0
 
     @property
     def B(self) -> np.ndarray:
@@ -152,7 +172,7 @@ def integrate_homogeneous(
         t_last = float(sol.t[-1]) if sol.t.size else 0.0
         y_last = sol.y[:, -1] if sol.t.size else initial.as_array()
         raise IntegrationError(f"stiff integration failed: {sol.message}", t_last, y_last)
-    traj = HomTrajectory(sol.t, sol.y, params)
+    traj = HomTrajectory(sol.t, sol.y, params, sol.nfev, sol.njev, sol.nlu)
     if validate:
         traj.validate()
     return traj
@@ -202,6 +222,40 @@ def _newton(
     return y, current, current <= rtol * scale(y)
 
 
+def _equilibrium_quota(B: float, params: ModelParams) -> float:
+    # the quota at which growth balances loss, Q_m / (1 - L/(r h(B))), capped
+    # at Q_M where growth cannot balance loss below the full quota
+    growth = params.r * _growth_h(B, params)
+    if growth <= params.total_loss:
+        return params.Q_M
+    return min(params.Q_m / (1.0 - params.total_loss / growth), params.Q_M)
+
+
+def _equilibrium_biomass(params: ModelParams, total: float) -> float:
+    """Biomass of the positive equilibrium with p + P = ``total``, or 0.0.
+
+    Returns the root of the reduced equation G(B) = 0 (see the module
+    docstring).  G is extended past the ends of its domain by capping the
+    quota at Q_M and P at zero, which keeps it continuous and nonincreasing
+    and makes it negative, -L Q_M, for all large B; a positive root exists
+    exactly when G(0) > 0.
+    """
+    loss = params.total_loss
+
+    def reduced(B: float) -> float:
+        Q = _equilibrium_quota(B, params)
+        return _rho_tilde(max(total - Q * B, 0.0), params) * (params.Q_M - Q) - loss * Q
+
+    if not reduced(0.0) > 0.0:
+        return 0.0
+    # past B = total/Q_m the dissolved pool is empty and G = -L Q < 0, so the
+    # doubling ends
+    upper = 1.0
+    while reduced(upper) >= 0.0:
+        upper *= 2.0
+    return brentq(reduced, 0.0, upper, xtol=1e-300)
+
+
 def find_equilibrium(
     params: ModelParams,
     guess: HomState | None = None,
@@ -211,10 +265,17 @@ def find_equilibrium(
     """Locate an equilibrium of the homogeneous system and classify it.
 
     When the reproductive index is at most one only the extinction state
-    exists and it is returned directly.  Otherwise a damped Newton iteration
-    runs from ``guess`` (or a generic positive initializer); if it stalls,
-    the system is first integrated for a long horizon and Newton restarts
-    from the settled state.
+    exists and it is returned directly.  Otherwise the positive equilibrium
+    is the unique root of a scalar equation in the biomass (see the module
+    docstring), found by bracketing and Brent's method and polished by a
+    damped Newton iteration that checks the residual.
+
+    ``guess`` matters in two ways only: a guess with B < EPS_B returns the
+    extinction state, and when D = 0 the phosphorus budget is closed and
+    the guess's p + P fixes it (without a guess, the budget of the start
+    state (5, 5 q_hat, max(P_h, 0.1))).  With D > 0 the budget is
+    P_h + P_in z_m/D whatever the guess.  A closed budget too small to
+    carry a bloom gives the extinction state (0, 0, p + P).
 
     Returns
     -------
@@ -230,25 +291,22 @@ def find_equilibrium(
     """
     if r0(params) <= 1.0:
         return extinction_state(params), "extinction"
-
-    if guess is None:
-        qh = q_hat(params)
-        guess = HomState(5.0, 5.0 * qh, max(params.P_h, 0.1))
-    y0 = guess.as_array()
-    if y0[0] < EPS_B:
+    if guess is not None and guess.B < EPS_B:
         return extinction_state(params), "extinction"
 
-    y, residual, ok = _newton(y0, params, rtol, max_iter)
-    if not ok or y[0] < 1e-6:
-        # Newton either stalled or slid onto the (unstable) extinction root;
-        # with R0 > 1 the positive equilibrium attracts the flow, so use the
-        # long-time limit as the initializer instead
-        traj = integrate_homogeneous(
-            guess, params, EQUILIBRIUM_HORIZON, rtol=1e-10, atol=1e-12, validate=False
-        )
-        y, residual, ok = _newton(traj.y[:, -1], params, rtol, max_iter)
-        if not ok:
-            raise ConvergenceError("equilibrium Newton did not converge", y, residual)
+    if params.exchange > 0.0:
+        total = extinction_state(params).P
+    else:
+        start = guess if guess is not None else HomState(
+            5.0, 5.0 * q_hat(params), max(params.P_h, 0.1))
+        total = start.p + start.P
+    B = _equilibrium_biomass(params, total)
+    if B == 0.0:
+        return HomState(0.0, 0.0, total), "extinction"
+    p = _equilibrium_quota(B, params) * B
+    y, residual, ok = _newton(np.array([B, p, total - p]), params, rtol, max_iter)
+    if not ok:
+        raise ConvergenceError("equilibrium Newton did not converge", y, residual)
     state = HomState(*np.maximum(y, 0.0))
     kind = "extinction" if state.B < EPS_B else "positive"
     return state, kind

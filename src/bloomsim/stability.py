@@ -149,24 +149,23 @@ def eigen_3x3(
     return values, vectors, defective
 
 
-def perturbed_spectrum(
-    eq: HomState, n: int, v: float, params: ModelParams
+def _mode_spectrum(
+    A: np.ndarray,
+    lam: np.ndarray,
+    V: np.ndarray,
+    defective_A: bool,
+    n: int,
+    v: float,
+    params: ModelParams,
 ) -> ModeSpectrum:
-    """Exact and first-order spectra of the mode-n linearization.
-
-    The exact eigenvalues come from the full J(n); the approximation adds to
-    each eigenvalue of A the matching diagonal entry of ``V^-1 Delta V`` (see
-    the module docstring).  At n = 0 the two coincide since Delta vanishes.
-    """
-    A = assemble_jacobian(eq, 0, v, params)
-    lam, V, defective_A = eigen_3x3(A)
+    # the mode-n spectra from J(0) = A and its eigenpairs (lam, V), which a
+    # sweep computes once for all its modes
     delta = _delta_diag(n, v, params)
     # diag(V^-1 Delta V): proper first-order correction for simple eigenvalues
     correction = np.diag(np.linalg.solve(V, delta[:, None] * V))
     approx = lam + correction
 
-    J = assemble_jacobian(eq, n, v, params)
-    exact, vectors, defective_J = eigen_3x3(J)
+    exact, vectors, defective_J = eigen_3x3(A + np.diag(delta))
 
     # keep branch pairing: both lists are real-part sorted at n = 0 and the
     # approximation inherits A's order, so re-sort it with the same key
@@ -181,6 +180,21 @@ def perturbed_spectrum(
     )
 
 
+def perturbed_spectrum(
+    eq: HomState, n: int, v: float, params: ModelParams
+) -> ModeSpectrum:
+    """Exact and first-order spectra of the mode-n linearization.
+
+    The exact eigenvalues come from the full J(n); the approximation adds to
+    each eigenvalue of A the matching diagonal entry of ``V^-1 Delta V`` (see
+    the module docstring).  At n = 0 the two coincide since Delta vanishes.
+    """
+    if n < 0:
+        raise ValueError("mode number n must be >= 0")
+    A = assemble_jacobian(eq, 0, v, params)
+    return _mode_spectrum(A, *eigen_3x3(A), n, v, params)
+
+
 def mode_sweep(
     eq: HomState,
     n_max: int,
@@ -190,11 +204,14 @@ def mode_sweep(
     """Spectra for modes n = 0 .. n_max and an overall stability verdict.
 
     The verdict is ``"stable"`` exactly when every exact eigenvalue over the
-    swept modes has negative real part.
+    swept modes has negative real part.  The equilibrium check and the
+    eigenpairs of A are computed once and shared by all modes.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    spectra = [perturbed_spectrum(eq, n, v, params) for n in range(n_max + 1)]
+    A = assemble_jacobian(eq, 0, v, params)
+    base = eigen_3x3(A)
+    spectra = [_mode_spectrum(A, *base, n, v, params) for n in range(n_max + 1)]
     worst = max(s.leading_real for s in spectra)
     return spectra, ("stable" if worst < 0.0 else "unstable")
 

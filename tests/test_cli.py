@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import bloomsim.ode
 import bloomsim.solver1d
 from bloomsim.cli import ConfigError, export_csv, load_config, main, run_config
 
@@ -98,6 +99,23 @@ class TestSubcommands:
         assert values["B"] == pytest.approx(16.2785, rel=0.01)
         assert values["p"] == pytest.approx(0.1920, rel=0.01)
         assert values["P"] == pytest.approx(0.0080, rel=0.01)
+
+    def test_ode_manifest_counters_match_rhs_calls(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=bloomsim.ode.reaction_rhs, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bloomsim.ode, "reaction_rhs", counted)
+        path = write_config(tmp_path, {"params": CASE3, "ode": {"t_end": 200.0}})
+        out = tmp_path / "out"
+        run_config(path, "ode", out)
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert set(counters) == {"nfev", "njev", "nlu"}
+        # a finite-difference Jacobian would call reaction_rhs past the nfev count
+        assert counters["nfev"] == len(calls) > 0
+        assert 0 < counters["njev"] <= counters["nlu"]
 
     def test_sim1d_extinction_summary(self, tmp_path, capsys):
         path = write_config(

@@ -7,11 +7,61 @@ middle entry is internal phosphorus, so the quota there is p/B = 0.0118.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
-from bloomsim.core import HomState, b_bar, default_params
-from bloomsim.ode import find_equilibrium, integrate_homogeneous
+import bloomsim.ode
+from bloomsim.core import HomState, b_bar, default_params, r0, reaction_rhs
+from bloomsim.ode import ConvergenceError, find_equilibrium, integrate_homogeneous
 
 U_STAR = (16.2785, 0.1920, 0.0080)
+
+
+def _zero_or(lo, hi):
+    # zero one time in four, so that most draws keep the other branch
+    return st.integers(0, 3).flatmap(lambda i: st.floats(lo, hi) if i else st.just(0.0))
+
+
+@st.composite
+def model_params(draw):
+    """ModelParams across the admitted domain, zero exchange, zero
+    hypolimnion phosphorus and an external source included."""
+    Q_m = draw(st.floats(1e-3, 0.02))
+    return default_params(
+        r=draw(st.floats(0.05, 5.0)),
+        P_h=draw(_zero_or(1e-3, 5.0)),
+        D=draw(_zero_or(1e-4, 1.0)),
+        P_in=draw(_zero_or(1e-4, 0.1)),
+        l=draw(st.floats(0.01, 1.0)),
+        K_bg=draw(st.floats(0.05, 2.0)),
+        k=draw(st.floats(1e-5, 1e-2)),
+        z_m=draw(st.floats(1.0, 20.0)),
+        M=draw(st.floats(0.05, 5.0)),
+        rho_m=draw(st.floats(0.05, 5.0)),
+        Q_m=Q_m,
+        Q_M=Q_m * draw(st.floats(1.5, 20.0)),
+        H=draw(st.floats(10.0, 500.0)),
+        I_in=draw(st.floats(10.0, 2000.0)),
+    )
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("find_equilibrium integrated the system")
+
+
+def _assert_equilibrium(state, params):
+    # the residual test of find_equilibrium at its default rtol
+    residual = np.linalg.norm(reaction_rhs(state, params))
+    assert residual <= 1e-10 * max(1.0, np.abs(state.as_array()).max())
+
+
+def regime_grid_params():
+    """The (r, P_h) points of the benchmark's ``regime`` grid: a scrambled
+    Sobol sample of 8 points, 7 of them with R0 > 1."""
+    unit = qmc.Sobol(d=2, scramble=True, seed=0).random_base2(3)
+    return [default_params(r=r, P_h=P_h)
+            for r, P_h in qmc.scale(unit, [0.5, 0.02], [1.5, 0.52])]
 
 
 class TestIntegrateHomogeneous:
@@ -104,3 +154,46 @@ class TestFindEquilibrium:
         state, kind = find_equilibrium(params_case3, guess=HomState(1e-3, 1e-3 * 0.01, 0.2))
         assert kind == "positive"
         assert state.B == pytest.approx(U_STAR[0], rel=0.01)
+
+    @settings(max_examples=500, deadline=None)
+    @given(params=model_params())
+    def test_reduced_root_over_the_domain(self, params):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bloomsim.ode, "integrate_homogeneous", _no_integration)
+            if params.D == 0.0 and params.P_in > 0.0:
+                # dp + dP = P_in > 0 everywhere: no equilibrium exists
+                with pytest.raises((ConvergenceError, ValueError)):
+                    find_equilibrium(params)
+                return
+            state, kind = find_equilibrium(params)
+        _assert_equilibrium(state, params)
+        if r0(params) <= 1.0:
+            assert kind == "extinction"
+        elif params.D > 0.0:
+            # the open budget P_h + P_in z_m/D carries a bloom whenever R0 > 1
+            assert kind == "positive"
+            assert state.p + state.P == pytest.approx(
+                params.P_h + params.P_in / params.exchange, rel=1e-12)
+
+    @pytest.mark.parametrize("guess, expected", [
+        (HomState(3.0, 0.06, 0.4), "positive"),
+        (HomState(1.0, 0.02, 0.01), "positive"),
+        (HomState(0.005, 1e-4, 0.0), "extinction"),
+    ])
+    def test_closed_budget_is_the_guess(self, guess, expected):
+        params = default_params(r=1.0, P_h=0.2, D=0.0)
+        state, kind = find_equilibrium(params, guess=guess)
+        assert kind == expected
+        assert state.p + state.P == pytest.approx(guess.p + guess.P, rel=1e-12)
+        _assert_equilibrium(state, params)
+
+    @pytest.mark.parametrize("params", [p for p in regime_grid_params() if r0(p) > 1.0],
+                             ids=lambda p: f"r={p.r:.3f},P_h={p.P_h:.3f}")
+    def test_regime_grid_matches_long_integration(self, params):
+        state, kind = find_equilibrium(params)
+        assert kind == "positive"
+        traj = integrate_homogeneous(
+            HomState(5.0, 0.1, 0.15), params, 4000.0, rtol=1e-11, atol=1e-13
+        )
+        oracle = traj.y[:, -1]
+        assert np.all(np.abs(state.as_array() - oracle) / np.abs(oracle) < 1e-6)

@@ -221,6 +221,33 @@ class TestModeSweep:
         reals = np.array([np.sort(s.exact_eigenvalues.real) for s in spectra])
         assert np.all(np.diff(reals[5:], axis=0) < 0)
 
+    @pytest.mark.parametrize("v", [1.0, 40.0], ids=["still", "windy"])
+    def test_sweep_matches_per_mode_reference(self, params_case3, eq_positive_case3, v):
+        # reference: every mode repeats the equilibrium check and the
+        # spectrum of A, as a sweep did before sharing that n = 0 work
+        def reference(n):
+            A = assemble_jacobian(eq_positive_case3, 0, v, params_case3)
+            lam, V, defective_A = eigen_3x3(A)
+            p = params_case3
+            d12 = -(n**2) * p.alpha - 1j * n * p.beta_B * v
+            delta = np.array([d12, d12, -(n**2) * p.beta - 1j * n * p.beta_P * v])
+            approx = lam + np.diag(np.linalg.solve(V, delta[:, None] * V))
+            J = assemble_jacobian(eq_positive_case3, n, v, params_case3)
+            exact, vectors, defective_J = eigen_3x3(J)
+            order = np.lexsort((-approx.imag, -approx.real))
+            return exact, approx[order], vectors, defective_A or defective_J
+
+        spectra, _ = mode_sweep(eq_positive_case3, 30, v, params_case3)
+        for s in spectra:
+            exact, approx, vectors, defective = reference(s.n)
+            assert np.array_equal(s.exact_eigenvalues, exact)
+            assert np.array_equal(s.approx_eigenvalues, approx)
+            assert np.array_equal(s.eigenvectors, vectors)
+            assert s.defective_warning == defective
+            single = perturbed_spectrum(eq_positive_case3, s.n, v, params_case3)
+            assert np.array_equal(single.exact_eigenvalues, exact)
+            assert np.array_equal(single.approx_eigenvalues, approx)
+
     def test_rejects_bad_n_max(self, params_case1):
         with pytest.raises(ValueError):
             mode_sweep(HomState(0.0, 0.0, 0.0), 0, 1.0, params_case1)
