@@ -29,7 +29,7 @@ import scipy
 from . import __version__
 from ._textio import export_csv
 from .core import HomState, ModelParams, b_bar, default_params, q_hat, r0
-from .mesh import load_gmsh_mesh, synthetic_lake_mesh, write_msh22
+from .mesh import MeshError, load_gmsh_mesh, synthetic_lake_mesh, write_msh22
 from .ode import extinction_state, find_equilibrium, integrate_homogeneous
 from .sensitivity import (
     FACTOR_BOUNDS,
@@ -118,8 +118,11 @@ def _wind_from(section: dict | None, base_dir: Path):
         path = base_dir / section["csv"]
         if not path.exists():
             raise ConfigError(f"wind file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            series = parse_wind_records(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                series = parse_wind_records(fh)
+        except ValueError as exc:
+            raise ConfigError(f"bad wind file {path}: {exc}") from exc
         if section.get("daily", True):
             series = aggregate_daily(series)
         return series
@@ -272,7 +275,10 @@ def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
         path = base_dir / mesh_ref
         if not path.exists():
             raise ConfigError(f"mesh file not found: {path}")
-        mesh = load_gmsh_mesh(path)
+        try:
+            mesh = load_gmsh_mesh(path)
+        except MeshError as exc:
+            raise ConfigError(f"bad mesh file {path}: {exc}") from exc
     wind = _wind_from(section.get("wind"), base_dir)
     initial = _initial(Field2D, section.get("initial"), mesh, params,
                        _SECTION_KEYS["initial_2d"], "sim2d.initial")

@@ -68,9 +68,7 @@ class TriMesh:
 
         x = self.nodes[:, 0][self.triangles]
         y = self.nodes[:, 1][self.triangles]
-        twice_signed = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (
-            x[:, 2] - x[:, 0]
-        ) * (y[:, 1] - y[:, 0])
+        twice_signed = _twice_signed_areas(x, y)
         if np.any(np.abs(twice_signed) < _AREA_TOL):
             raise MeshError("degenerate (zero-area) triangle")
         if np.any(twice_signed < 0):
@@ -136,19 +134,29 @@ def _edges(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]
     return edges, keys
 
 
+def _twice_signed_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle from its (M, 3) vertex
+    coordinates; positive for counterclockwise triangles."""
+    return (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+
+
+def _drop_unused(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the nodes no triangle references, renumbering the rest in order."""
+    used = np.zeros(len(nodes), dtype=bool)
+    used[triangles] = True
+    remap = -np.ones(len(nodes), dtype=np.int64)
+    remap[used] = np.arange(used.sum())
+    return nodes[used], remap[triangles]
+
+
 def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    x = nodes[:, 0][triangles]
-    y = nodes[:, 1][triangles]
-    signed = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
     out = triangles.copy()
-    flip = signed < 0
+    flip = _twice_signed_areas(nodes[:, 0][triangles], nodes[:, 1][triangles]) < 0
     out[flip, 1], out[flip, 2] = triangles[flip, 2], triangles[flip, 1]
     return out
 
 
-def _parse_msh22(lines: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
+def _parse_msh22(lines: list[str]) -> tuple[dict, list, int]:
     nodes: dict[int, tuple[float, float]] = {}
     triangles: list[tuple[int, int, int]] = []
     skipped = 0
@@ -175,10 +183,10 @@ def _parse_msh22(lines: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
             i += 2 + count
         else:
             i += 1
-    return _finish_gmsh(nodes, triangles, skipped)
+    return nodes, triangles, skipped
 
 
-def _parse_msh41(lines: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
+def _parse_msh41(lines: list[str]) -> tuple[dict, list, int]:
     nodes: dict[int, tuple[float, float]] = {}
     triangles: list[tuple[int, int, int]] = []
     skipped = 0
@@ -214,47 +222,56 @@ def _parse_msh41(lines: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
                 i += 1 + n_in_block
         else:
             i += 1
-    return _finish_gmsh(nodes, triangles, skipped)
+    return nodes, triangles, skipped
 
 
-def _finish_gmsh(nodes, triangles, skipped):
-    if not triangles:
+def _finish_gmsh(nodes: dict, triangle_tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates in tag order and triangles as row indices into them."""
+    if triangle_tags.size == 0:
         raise MeshError("mesh file contains no triangles")
     tags = sorted(nodes)
-    index = {tag: k for k, tag in enumerate(tags)}
+    undefined = ~np.isin(triangle_tags, tags)
+    if undefined.any():
+        raise MeshError(f"triangle refers to undefined node tag {triangle_tags[undefined][0]}")
     coords = np.array([nodes[t] for t in tags])
-    conn = np.array([[index[a], index[b], index[c]] for a, b, c in triangles])
-    used = np.zeros(len(coords), dtype=bool)
-    used[conn] = True
-    if not used.all():
-        # gmsh files routinely carry boundary-only points; drop them
-        remap = -np.ones(len(coords), dtype=np.int64)
-        remap[used] = np.arange(used.sum())
-        coords = coords[used]
-        conn = remap[conn]
-    return coords, conn, skipped
+    # gmsh files routinely carry boundary-only points; drop them
+    return _drop_unused(coords, np.searchsorted(tags, triangle_tags))
 
 
 def load_gmsh_mesh(path) -> TriMesh:
     """Read a gmsh ASCII mesh (v2.2 or v4.1), keeping the 2D triangles.
 
     Non-triangle elements are ignored with a count warning.  Unknown format
-    versions, files without triangles, and inverted or degenerate triangles
-    raise :class:`MeshError`.
+    versions, binary files, malformed or truncated sections, triangles on
+    undefined node tags, files without triangles, and inverted or
+    degenerate triangles raise :class:`MeshError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes must not stop the header check; in a field they
+    # fail to parse like any other malformed text
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.read().splitlines()
     try:
         fmt_at = lines.index("$MeshFormat")
-        version = lines[fmt_at + 1].split()[0]
+        header = lines[fmt_at + 1].split()
+        version = header[0]
     except (ValueError, IndexError) as exc:
         raise MeshError("missing $MeshFormat header") from exc
+    if header[1:2] == ["1"]:
+        raise MeshError("binary gmsh files are not supported")
     if version.startswith("2.2"):
-        coords, conn, skipped = _parse_msh22(lines)
+        parse = _parse_msh22
     elif version.startswith("4.1"):
-        coords, conn, skipped = _parse_msh41(lines)
+        parse = _parse_msh41
     else:
         raise MeshError(f"unsupported gmsh format version {version}")
+    try:
+        nodes, triangles, skipped = parse(lines)
+        triangle_tags = np.array(triangles, dtype=np.int64)
+    except ValueError as exc:
+        raise MeshError(f"malformed gmsh file: {exc}") from exc
+    except IndexError as exc:
+        raise MeshError("malformed gmsh file: a section or row ends early") from exc
+    coords, conn = _finish_gmsh(nodes, triangle_tags)
     if skipped:
         warnings.warn(f"ignored {skipped} non-triangle element(s)")
     return TriMesh(coords, conn)
@@ -374,10 +391,5 @@ def synthetic_lake_mesh(target_h: float = 80.0, radius: float = 400.0) -> TriMes
     centroids = points[tri.simplices].mean(axis=1)
     inside = _points_in_polygon(centroids, outline)
     conn = _orient_ccw(points, tri.simplices[inside])
-
     # drop any nodes that lost all their triangles during the carve
-    used = np.zeros(len(points), dtype=bool)
-    used[conn] = True
-    remap = -np.ones(len(points), dtype=np.int64)
-    remap[used] = np.arange(used.sum())
-    return TriMesh(points[used], remap[conn])
+    return TriMesh(*_drop_unused(points, conn))

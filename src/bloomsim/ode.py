@@ -16,9 +16,11 @@ rho~(P) = rho_m/(Q_M - Q_m) P/(P + M):
 * dp = 0 leaves G(B) = rho~(T - Q(B) B) (Q_M - Q(B)) - L Q(B) = 0.
 
 G strictly decreases wherever r h(B) > L, Q(B) < Q_M and P >= 0, so the
-positive root is unique; it is bracketed by doubling, found with Brent's
-method and polished by a damped Newton iteration on the full system, which
-also checks the residual.
+positive root is unique; it is bracketed by doubling and found with Brent's
+method.  The state built from the root is checked against the residual of
+the full system and, where it fails, polished by a damped Newton
+iteration.  With D = 0 and P_in > 0 the source has no outlet,
+dp + dP = P_in > 0, and no equilibrium exists.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from scipy.optimize import brentq
 
 from .core import (
     EPS_B,
+    DomainError,
     HomState,
     ModelParams,
     _growth_h,
@@ -50,6 +53,10 @@ __all__ = [
     "integrate_homogeneous",
     "find_equilibrium",
 ]
+
+# iteration cap of the equilibrium polish, which starts at the scalar root
+_NEWTON_MAX_ITER = 60
+
 
 class IntegrationError(RuntimeError):
     """Stiffness or step-size failure; carries the last good state."""
@@ -129,6 +136,35 @@ def _jac_flat(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
     return reaction_jacobian(B, p, P, params)
 
 
+def _solve_bdf(fun, jac, y0, t_end, rtol, atol, t_eval, args=None, convert=()):
+    """BDF from t = 0 to ``t_end`` for both the homogeneous and the transect
+    integrator: argument checks, solve, and :class:`IntegrationError` on
+    failure, also for exceptions of the types in ``convert``."""
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
+    if not (rtol > 0 and atol > 0):
+        raise ValueError("tolerances must be positive")
+    try:
+        sol = solve_ivp(
+            fun,
+            (0.0, float(t_end)),
+            y0,
+            method="BDF",
+            jac=jac,
+            rtol=rtol,
+            atol=atol,
+            t_eval=t_eval,
+            args=args,
+        )
+    except convert as exc:
+        raise IntegrationError(f"BDF integration failed: {exc}", 0.0, y0) from exc
+    if not sol.success:
+        t_last = float(sol.t[-1]) if sol.t.size else 0.0
+        y_last = sol.y[:, -1] if sol.t.size else y0
+        raise IntegrationError(f"BDF integration failed: {sol.message}", t_last, y_last)
+    return sol
+
+
 def integrate_homogeneous(
     initial: HomState,
     params: ModelParams,
@@ -146,32 +182,18 @@ def integrate_homogeneous(
 
     Raises
     ------
+    ValueError
+        If ``t_end``, ``rtol`` or ``atol`` is not positive (NaN included),
+        or ``initial`` leaves the quota tube.
     IntegrationError
         On integrator failure (step-size underflow under stiffness), with
         the last reached time and state attached.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
     initial.check_quota(params)
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 201)
-    sol = solve_ivp(
-        _rhs_flat,
-        (0.0, float(t_end)),
-        initial.as_array(),
-        method="BDF",
-        jac=_jac_flat,
-        rtol=rtol,
-        atol=atol,
-        t_eval=np.asarray(t_eval, dtype=float),
-        args=(params,),
-    )
-    if not sol.success:
-        t_last = float(sol.t[-1]) if sol.t.size else 0.0
-        y_last = sol.y[:, -1] if sol.t.size else initial.as_array()
-        raise IntegrationError(f"stiff integration failed: {sol.message}", t_last, y_last)
+    sol = _solve_bdf(_rhs_flat, _jac_flat, initial.as_array(), t_end, rtol, atol,
+                     np.asarray(t_eval, dtype=float), args=(params,))
     traj = HomTrajectory(sol.t, sol.y, params, sol.nfev, sol.njev, sol.nlu)
     if validate:
         traj.validate()
@@ -179,17 +201,16 @@ def integrate_homogeneous(
 
 
 def extinction_state(params: ModelParams) -> HomState:
-    """The biomass-free equilibrium (0, 0, P_h + P_in z_m / D)."""
+    """The biomass-free equilibrium (0, 0, P_h + P_in z_m / D); raises
+    :class:`DomainError` when D = 0 and P_in > 0, where none exists."""
     if params.exchange == 0.0:
         if params.P_in > 0.0:
-            raise ValueError("no extinction equilibrium: P_in > 0 with no exchange")
+            raise DomainError("no equilibrium: with D = 0 the source P_in > 0 has no outlet")
         return HomState(0.0, 0.0, params.P_h)
     return HomState(0.0, 0.0, params.P_h + params.P_in / params.exchange)
 
 
-def _newton(
-    y0: np.ndarray, params: ModelParams, rtol: float, max_iter: int
-) -> tuple[np.ndarray, float, bool]:
+def _newton(y0: np.ndarray, params: ModelParams, rtol: float) -> tuple[np.ndarray, float, bool]:
     """Damped Newton on the reaction rhs.  Returns (state, residual, ok)."""
     y = y0.copy()
 
@@ -200,7 +221,7 @@ def _newton(
         return max(1.0, float(np.linalg.norm(y, np.inf)))
 
     current = res_norm(y)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if current <= rtol * scale(y):
             return y, current, True
         J = _jac_flat(0.0, y, params)
@@ -260,15 +281,16 @@ def find_equilibrium(
     params: ModelParams,
     guess: HomState | None = None,
     rtol: float = 1e-10,
-    max_iter: int = 60,
 ) -> tuple[HomState, str]:
     """Locate an equilibrium of the homogeneous system and classify it.
 
     When the reproductive index is at most one only the extinction state
     exists and it is returned directly.  Otherwise the positive equilibrium
     is the unique root of a scalar equation in the biomass (see the module
-    docstring), found by bracketing and Brent's method and polished by a
-    damped Newton iteration that checks the residual.
+    docstring), found by bracketing and Brent's method.  The state built
+    from that root is returned when its residual passes
+    ``|rhs| <= rtol * max(1, |state|_inf)``; otherwise a damped Newton
+    iteration polishes it until it does.
 
     ``guess`` matters in two ways only: a guess with B < EPS_B returns the
     extinction state, and when D = 0 the phosphorus budget is closed and
@@ -285,17 +307,19 @@ def find_equilibrium(
 
     Raises
     ------
+    DomainError
+        If D = 0 and P_in > 0, where no equilibrium exists; raised before
+        any solve.
     ConvergenceError
-        If Newton does not reach ``|rhs| < rtol * scale``; carries the best
-        iterate found.
+        If Newton does not bring the residual under the test; carries the
+        best iterate found.
     """
-    if r0(params) <= 1.0:
-        return extinction_state(params), "extinction"
-    if guess is not None and guess.B < EPS_B:
-        return extinction_state(params), "extinction"
+    extinction = extinction_state(params)
+    if r0(params) <= 1.0 or (guess is not None and guess.B < EPS_B):
+        return extinction, "extinction"
 
     if params.exchange > 0.0:
-        total = extinction_state(params).P
+        total = extinction.P
     else:
         start = guess if guess is not None else HomState(
             5.0, 5.0 * q_hat(params), max(params.P_h, 0.1))
@@ -304,7 +328,7 @@ def find_equilibrium(
     if B == 0.0:
         return HomState(0.0, 0.0, total), "extinction"
     p = _equilibrium_quota(B, params) * B
-    y, residual, ok = _newton(np.array([B, p, total - p]), params, rtol, max_iter)
+    y, residual, ok = _newton(np.array([B, p, total - p]), params, rtol)
     if not ok:
         raise ConvergenceError("equilibrium Newton did not converge", y, residual)
     state = HomState(*np.maximum(y, 0.0))

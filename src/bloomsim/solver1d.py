@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.sparse import csc_matrix, diags, kron
 
 from ._textio import write_rows
 from .core import EPS_B, ModelParams, _reaction_kernel
-from .ode import IntegrationError
+from .ode import _solve_bdf
 from .wind import as_wind
 
 __all__ = [
@@ -52,7 +51,7 @@ class Grid1D:
     Nx: int
 
     def __post_init__(self) -> None:
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError("domain length L must be positive")
         if self.Nx < 3:
             raise ValueError("need at least 3 grid nodes")
@@ -364,15 +363,11 @@ def integrate_1d(
     Raises
     ------
     ValueError
-        If ``t_end``, ``rtol`` or ``atol`` is not positive, or the initial
-        field does not match the grid.
+        If ``t_end``, ``rtol`` or ``atol`` is not positive (NaN included),
+        or the initial field does not match the grid.
     IntegrationError
         On stiffness failure, carrying the last reached state.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("tolerances must be positive")
     if initial.B.size != grid.Nx:
         raise ValueError("initial field does not match the grid")
     if sample_times is None:
@@ -387,26 +382,11 @@ def integrate_1d(
     def jac_flat(t, y):
         return _jacobian_1d(y, t, grid, wind_fn, params, layout)
 
-    try:
-        sol = solve_ivp(
-            rhs_flat,
-            (0.0, float(t_end)),
-            initial.stack(),
-            method="BDF",
-            rtol=rtol,
-            atol=atol,
-            t_eval=sample_times,
-            jac=jac_flat,
-        )
-    except (RuntimeError, ValueError) as exc:
-        # singular iteration matrices (e.g. non-finite forcing) surface as
-        # low-level solver errors; present them with the failure contract
-        raise IntegrationError(f"1D integration failed: {exc}", 0.0,
-                               initial.stack()) from exc
-    if not sol.success:
-        t_last = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(f"1D integration failed: {sol.message}", t_last,
-                               sol.y[:, -1] if sol.t.size else initial.stack())
+    # singular iteration matrices (e.g. non-finite forcing) surface as
+    # low-level SuperLU and ValueError failures; present them as
+    # IntegrationError
+    sol = _solve_bdf(rhs_flat, jac_flat, initial.stack(), t_end, rtol, atol,
+                     sample_times, convert=(RuntimeError, ValueError))
     fields = [Field1D.unstack(sol.y[:, i]) for i in range(sol.t.size)]
     traj = Trajectory1D(sol.t, fields, grid, params, sol.nfev, sol.njev, sol.nlu)
     if validate:

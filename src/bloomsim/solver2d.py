@@ -258,7 +258,7 @@ def newton_be_step(
     scale of ``M_L U_n``.  On non-convergence the step is retried as two
     half steps (three levels deep) before raising :class:`NewtonError`.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if _stats is None:
         _stats = _NewtonStats()
@@ -392,6 +392,8 @@ def simulate_2d(
     Emits a one-time warning when the cell Peclet number of the B or the P
     field exceeds one (pure Galerkin advection can then oscillate).
     """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     output_times = np.asarray(sorted(set(float(t) for t in output_times)), dtype=float)
     if output_times.size == 0 or output_times[0] < 0 or output_times[-1] > t_end:
         raise ValueError("output times must lie in [0, t_end]")

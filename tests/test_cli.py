@@ -259,6 +259,21 @@ class TestMain:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, section, name, content", [
+        ("sim2d", {"mesh": "bad.msh", "t_end": 1.0}, "bad.msh",
+         "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n1\n1 0 0 0\n$EndNodes\n"
+         "$Elements\n1\n1 2 2 0 1 1 2 9\n$EndElements\n"),
+        ("sim1d", {"Nx": 11, "t_end": 1.0, "wind": {"mode": "csv", "csv": "bad.csv"}},
+         "bad.csv", "timestamp,u_mps,v_mps\n0.0,1.0,0.0\nnoon,1.0,0.0\n"),
+    ], ids=["mesh", "wind"])
+    def test_bad_input_file_is_usage_error(self, tmp_path, capsys, subcommand, section,
+                                           name, content):
+        (tmp_path / name).write_text(content)
+        path = write_config(tmp_path, {"params": CASE3, subcommand: section})
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(tmp_path / name) in capsys.readouterr().err
+
     def test_env_seed_pickup(self, tmp_path, monkeypatch, capsys):
         path = write_config(
             tmp_path,

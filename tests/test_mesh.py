@@ -1,5 +1,6 @@
 """Mesh construction, gmsh parsing, refinement, and the lake fixture."""
 
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,6 +135,19 @@ class TestGmshIO:
         path = tmp_path / "lines_only.msh"
         path.write_text(text)
         with pytest.raises(MeshError, match="no triangles"):
+            load_gmsh_mesh(path)
+
+    @pytest.mark.parametrize("content, problem", [
+        (MSH22_SQUARE.replace("3 2 2 0 1 1 3 4", "3 2 2 0 1 1 3 9").encode(),
+         "undefined node tag 9"),
+        (MSH22_SQUARE.replace("3 1 1 0", "3 1 one 0").encode(), "malformed gmsh file"),
+        (b"$MeshFormat\n2.2 1 8\n" + struct.pack("<i", 1) + b"\n$EndMeshFormat\n$Nodes\n1\n"
+         + struct.pack("<i3d", 1, -1.0, 0.5, 0.0) + b"\n$EndNodes\n", "binary"),
+    ], ids=["undefined-tag", "non-numeric", "binary"])
+    def test_malformed_file_rejected(self, tmp_path, content, problem):
+        path = tmp_path / "malformed.msh"
+        path.write_bytes(content)
+        with pytest.raises(MeshError, match=problem):
             load_gmsh_mesh(path)
 
     def test_degenerate_triangle_in_file_rejected(self, tmp_path):

@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import bloomsim.ode
-from bloomsim.core import HomState, b_bar, default_params, r0, reaction_rhs
-from bloomsim.ode import ConvergenceError, find_equilibrium, integrate_homogeneous
+from bloomsim.core import DomainError, HomState, b_bar, default_params, r0, reaction_rhs
+from bloomsim.ode import (
+    _equilibrium_biomass,
+    _equilibrium_quota,
+    extinction_state,
+    find_equilibrium,
+    integrate_homogeneous,
+)
 
 U_STAR = (16.2785, 0.1920, 0.0080)
 
@@ -113,6 +119,13 @@ class TestIntegrateHomogeneous:
         with pytest.raises(ValueError):
             integrate_homogeneous(HomState(1.0, 0.02, 0.1), params_case2, 10.0, rtol=0.0)
 
+    @pytest.mark.parametrize("t_end, tolerances", [
+        (np.nan, {}), (10.0, {"rtol": np.nan}), (10.0, {"atol": np.nan}),
+    ])
+    def test_nan_arguments_rejected(self, params_case2, t_end, tolerances):
+        with pytest.raises(ValueError, match="must be positive"):
+            integrate_homogeneous(HomState(1.0, 0.02, 0.1), params_case2, t_end, **tolerances)
+
 
 class TestFindEquilibrium:
     def test_no_phosphorus_gives_bare_extinction(self, params_case1):
@@ -162,7 +175,7 @@ class TestFindEquilibrium:
             mp.setattr(bloomsim.ode, "integrate_homogeneous", _no_integration)
             if params.D == 0.0 and params.P_in > 0.0:
                 # dp + dP = P_in > 0 everywhere: no equilibrium exists
-                with pytest.raises((ConvergenceError, ValueError)):
+                with pytest.raises(DomainError):
                     find_equilibrium(params)
                 return
             state, kind = find_equilibrium(params)
@@ -174,6 +187,31 @@ class TestFindEquilibrium:
             assert kind == "positive"
             assert state.p + state.P == pytest.approx(
                 params.P_h + params.P_in / params.exchange, rel=1e-12)
+
+    def test_no_outlet_is_a_domain_error(self, monkeypatch):
+        params = default_params(r=1.0, P_h=0.2, D=0.0, P_in=0.01)
+        # raised before any solve
+        monkeypatch.setattr(bloomsim.ode, "_equilibrium_biomass", _no_integration)
+        for call in (extinction_state, find_equilibrium):
+            with pytest.raises(DomainError, match="no outlet"):
+                call(params)
+
+    def test_polish_mends_a_root_above_the_tolerance(self):
+        # a large open budget nearly all held in biomass: P = T - Q B cancels,
+        # and the state built from the root alone fails the default residual
+        # test
+        params = default_params(r=2.5, P_h=2.0, D=1e-4, P_in=0.06, l=0.07, K_bg=0.07,
+                                k=1.3e-4, z_m=17.0, M=0.15, rho_m=3.5, Q_m=0.015,
+                                Q_M=0.29, H=76.0, I_in=1200.0)
+        total = extinction_state(params).P
+        B = _equilibrium_biomass(params, total)
+        p = _equilibrium_quota(B, params) * B
+        root = HomState(B, p, total - p)
+        residual = np.linalg.norm(reaction_rhs(root, params))
+        assert residual > 1e-10 * np.abs(root.as_array()).max()
+        state, kind = find_equilibrium(params)
+        assert kind == "positive"
+        _assert_equilibrium(state, params)
 
     @pytest.mark.parametrize("guess, expected", [
         (HomState(3.0, 0.06, 0.4), "positive"),
@@ -197,3 +235,12 @@ class TestFindEquilibrium:
         )
         oracle = traj.y[:, -1]
         assert np.all(np.abs(state.as_array() - oracle) / np.abs(oracle) < 1e-6)
+
+    @pytest.mark.parametrize("params", [p for p in regime_grid_params() if r0(p) > 1.0],
+                             ids=lambda p: f"r={p.r:.3f},P_h={p.P_h:.3f}")
+    def test_regime_grid_is_the_scalar_root(self, params):
+        state, _ = find_equilibrium(params)
+        total = extinction_state(params).P
+        B = _equilibrium_biomass(params, total)
+        p = _equilibrium_quota(B, params) * B
+        assert np.array_equal(state.as_array(), [B, p, total - p])

@@ -49,6 +49,10 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(0.0, 11)
 
+    def test_nan_length(self):
+        with pytest.raises(ValueError, match="L must be positive"):
+            build_grid(np.nan, 11)
+
 
 class TestRhs:
     def test_uniform_fields_reduce_to_reaction(self, params_case3):
@@ -393,6 +397,15 @@ class TestIntegrate:
     def test_rejects_non_positive_horizon_and_tolerances(self, params_case3, t_end, tolerances):
         grid = build_grid(500.0, 11)
         with pytest.raises(ValueError):
+            integrate_1d(Field1D.bump(grid, P0=0.2), grid, None, params_case3, t_end,
+                         **tolerances)
+
+    @pytest.mark.parametrize("t_end, tolerances", [
+        (np.nan, {}), (10.0, {"rtol": np.nan}), (10.0, {"atol": np.nan}),
+    ])
+    def test_rejects_nan_horizon_and_tolerances(self, params_case3, t_end, tolerances):
+        grid = build_grid(500.0, 11)
+        with pytest.raises(ValueError, match="must be positive"):
             integrate_1d(Field1D.bump(grid, P0=0.2), grid, None, params_case3, t_end,
                          **tolerances)
 

@@ -116,6 +116,14 @@ class TestNewtonStep:
         with pytest.raises(ValueError):
             newton_be_step(U0, 0.0, 1.0, lake, None, params_case3)
 
+    def test_rejects_nan_dt(self, lake, params_case3):
+        U0 = Field2D.uniform(lake, 1.0, 0.02, 0.1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            newton_be_step(U0, np.nan, 1.0, lake, None, params_case3)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            simulate_2d(U0, lake, None, params_case3, dt=np.nan, t_end=1.0,
+                        output_times=[0.0, 1.0])
+
     def test_newton_failure_raises_after_halving(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.1)
         bad_wind = lambda t: (np.nan, 0.0)  # noqa: E731
