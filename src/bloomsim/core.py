@@ -205,11 +205,11 @@ class HomState:
         """Cell quota p/B, or q_hat(params) when B is (numerically) zero."""
         return _quota(self.B, self.p, params)
 
-    def check_quota(self, params: ModelParams, tol: float = 1e-9) -> None:
-        """Raise unless Q_m <= p/B <= Q_M (within tol) whenever B > 0."""
+    def check_quota(self, params: ModelParams) -> None:
+        """Raise unless Q_m <= p/B <= Q_M (within 1e-9) whenever B > 0."""
         if self.B > EPS_B:
             q = self.p / self.B
-            if not (params.Q_m - tol <= q <= params.Q_M + tol):
+            if not (params.Q_m - 1e-9 <= q <= params.Q_M + 1e-9):
                 raise DomainError(f"cell quota {q} outside [{params.Q_m}, {params.Q_M}]")
 
     def as_array(self) -> np.ndarray:
@@ -315,17 +315,27 @@ def _rho_tilde(P: float, params: ModelParams) -> float:
     return params.rho_m / (params.Q_M - params.Q_m) * P / (P + params.M)
 
 
+def _extinction_P(params: ModelParams) -> float:
+    # dissolved phosphorus P* = P_h + P_in/(D/z_m) of the extinction state;
+    # P_h when D = 0, where with P_in > 0 no extinction state exists
+    if params.exchange > 0.0:
+        return params.P_h + params.P_in / params.exchange
+    return params.P_h
+
+
 def q_hat(params: ModelParams) -> float:
     """Cell quota of the extinction state.
 
     A convex combination of Q_m and Q_M,
 
-        q_hat = (rho~(P_h) Q_M + r Q_m h(0)) / (rho~(P_h) + r h(0)),
+        q_hat = (rho~(P*) Q_M + r Q_m h(0)) / (rho~(P*) + r h(0)),
 
-    with weight ``r h(0) / (rho~(P_h) + r h(0))`` on Q_m.  Equals Q_m when
-    P_h = 0 and tends to Q_M as hypolimnion phosphorus becomes unlimited.
+    with weight ``r h(0) / (rho~(P*) + r h(0))`` on Q_m, where
+    P* = P_h + P_in/(D/z_m) is the dissolved phosphorus of the extinction
+    state (P_h when D = 0).  Equals Q_m when P* = 0 and tends to Q_M as P*
+    becomes unlimited.
     """
-    rt = _rho_tilde(params.P_h, params)
+    rt = _rho_tilde(_extinction_P(params), params)
     rh0 = params.r * growth_h(0.0, params)
     return (rt * params.Q_M + rh0 * params.Q_m) / (rt + rh0)
 
@@ -333,13 +343,10 @@ def q_hat(params: ModelParams) -> float:
 def r0(params: ModelParams) -> float:
     """Basic ecological reproductive index.
 
-    ``r0 = r h(0) (1 - Q_m / q_hat) / (l + D/z_m)``.  Blooms persist when
-    this exceeds one; it vanishes exactly when P_h = 0.
-
-    Caveat: like :func:`q_hat`, this ignores the external source P_in, so
-    with P_in > 0 it can misjudge persistence.  For r = 1, P_h = 0 and
-    P_in = 0.01 it is 0, yet the extinction state (0, 0, 2.5) has a growing
-    eigenvalue of +3.52 and the system blooms to B ~ 179.
+    ``r0 = r h(0) (1 - Q_m / q_hat) / (l + D/z_m)``, with :func:`q_hat`
+    taken at the extinction state's dissolved phosphorus
+    P* = P_h + P_in/(D/z_m) (P_h when D = 0).  Blooms persist when this
+    exceeds one; it vanishes exactly when P* = 0.
     """
     qh = q_hat(params)
     return params.r * growth_h(0.0, params) * (1.0 - params.Q_m / qh) / params.total_loss

@@ -2,9 +2,10 @@
 
 A :class:`TriMesh` stores nodes and triangles together with the precomputed
 P1 geometry (areas, shape-function gradients, boundary edges).  Meshes come
-from gmsh ASCII files (format 2.2 or the 4.1 block layout) or from the
-bundled synthetic lake generator used by tests and demos.  Uniform "red"
-refinement splits every triangle into four, exactly halving element
+from gmsh ASCII files (format 2.2 or the 4.1 block layout, both read section
+by section with every declared count checked against the rows present) or
+from the bundled synthetic lake generator used by tests and demos.  Uniform
+"red" refinement splits every triangle into four, exactly halving element
 diameters, which is what the convergence checks rely on.
 """
 
@@ -156,125 +157,123 @@ def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parse_msh22(lines: list[str]) -> tuple[dict, list, int]:
-    nodes: dict[int, tuple[float, float]] = {}
-    triangles: list[tuple[int, int, int]] = []
-    skipped = 0
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        if line == "$Nodes":
-            count = int(lines[i + 1])
-            for row in lines[i + 2 : i + 2 + count]:
-                parts = row.split()
-                nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
-            i += 2 + count
-        elif line == "$Elements":
-            count = int(lines[i + 1])
-            for row in lines[i + 2 : i + 2 + count]:
-                parts = row.split()
-                etype = int(parts[1])
-                n_tags = int(parts[2])
-                conn = [int(t) for t in parts[3 + n_tags :]]
-                if etype == 2:
-                    triangles.append(tuple(conn))
-                else:
-                    skipped += 1
-            i += 2 + count
+def _section(lines: list[str], name: str) -> list[str]:
+    """The lines between ``$name`` and ``$Endname``."""
+    try:
+        start = lines.index(f"${name}") + 1
+    except ValueError:
+        raise MeshError(f"missing ${name} section") from None
+    try:
+        return lines[start : lines.index(f"$End{name}", start)]
+    except ValueError:
+        raise MeshError(f"${name} section ends without $End{name}") from None
+
+
+def _check_count(what: str, declared: str, held: int) -> None:
+    if int(declared) != held:
+        raise MeshError(f"{what} declares {declared} entries but holds {held}")
+
+
+def _read_msh22(nodes: list[str], elements: list[str]):
+    """Node tags, node xy, triangle node tags (all as text) and the number
+    of other elements, from the v2.2 ``$Nodes`` and ``$Elements`` bodies."""
+    _check_count("$Nodes", nodes[0], len(nodes) - 1)
+    _check_count("$Elements", elements[0], len(elements) - 1)
+    cells = [row.split() for row in nodes[1:]]
+    triangles = [row[3 + int(row[2]) :] for row in map(str.split, elements[1:])
+                 if int(row[1]) == 2]
+    return ([c[0] for c in cells], [(c[1], c[2]) for c in cells], triangles,
+            len(elements) - 1 - len(triangles))
+
+
+def _blocks(body: list[str], what: str, lines_per_entry: int) -> list[tuple[list, list]]:
+    """The header fields and lines of each entity block of a v4.1 section,
+    checked against the block sizes and the section's declared totals."""
+    n_blocks, total = body[0].split()[:2]
+    blocks, at, entries = [], 1, 0
+    for _ in range(int(n_blocks)):
+        head = body[at].split()
+        rows = body[at + 1 : at + 1 + lines_per_entry * int(head[3])]
+        _check_count(f"a {what} block", head[3], len(rows) // lines_per_entry)
+        blocks.append((head, rows))
+        at += 1 + len(rows)
+        entries += int(head[3])
+    if at != len(body):
+        raise MeshError(f"{what} holds {len(body) - at} line(s) past its {n_blocks} block(s)")
+    _check_count(what, total, entries)
+    return blocks
+
+
+def _read_msh41(nodes: list[str], elements: list[str]):
+    """As :func:`_read_msh22`, from the v4.1 block layout."""
+    tags, xy = [], []
+    for _, rows in _blocks(nodes, "$Nodes", 2):
+        n = len(rows) // 2
+        tags += rows[:n]
+        xy += [(c[0], c[1]) for c in map(str.split, rows[n:])]
+    triangles, skipped = [], 0
+    for head, rows in _blocks(elements, "$Elements", 1):
+        if int(head[2]) == 2:
+            triangles += [row.split()[1:] for row in rows]
         else:
-            i += 1
-    return nodes, triangles, skipped
-
-
-def _parse_msh41(lines: list[str]) -> tuple[dict, list, int]:
-    nodes: dict[int, tuple[float, float]] = {}
-    triangles: list[tuple[int, int, int]] = []
-    skipped = 0
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        if line == "$Nodes":
-            header = lines[i + 1].split()
-            n_blocks = int(header[0])
-            i += 2
-            for _ in range(n_blocks):
-                block = lines[i].split()
-                n_in_block = int(block[3])
-                tags = [int(lines[i + 1 + j]) for j in range(n_in_block)]
-                for j in range(n_in_block):
-                    coords = lines[i + 1 + n_in_block + j].split()
-                    nodes[tags[j]] = (float(coords[0]), float(coords[1]))
-                i += 1 + 2 * n_in_block
-        elif line == "$Elements":
-            header = lines[i + 1].split()
-            n_blocks = int(header[0])
-            i += 2
-            for _ in range(n_blocks):
-                block = lines[i].split()
-                etype = int(block[2])
-                n_in_block = int(block[3])
-                for j in range(n_in_block):
-                    parts = lines[i + 1 + j].split()
-                    if etype == 2:
-                        triangles.append(tuple(int(t) for t in parts[1:4]))
-                    else:
-                        skipped += 1
-                i += 1 + n_in_block
-        else:
-            i += 1
-    return nodes, triangles, skipped
-
-
-def _finish_gmsh(nodes: dict, triangle_tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node coordinates in tag order and triangles as row indices into them."""
-    if triangle_tags.size == 0:
-        raise MeshError("mesh file contains no triangles")
-    tags = sorted(nodes)
-    undefined = ~np.isin(triangle_tags, tags)
-    if undefined.any():
-        raise MeshError(f"triangle refers to undefined node tag {triangle_tags[undefined][0]}")
-    coords = np.array([nodes[t] for t in tags])
-    # gmsh files routinely carry boundary-only points; drop them
-    return _drop_unused(coords, np.searchsorted(tags, triangle_tags))
+            skipped += len(rows)
+    return tags, xy, triangles, skipped
 
 
 def load_gmsh_mesh(path) -> TriMesh:
     """Read a gmsh ASCII mesh (v2.2 or v4.1), keeping the 2D triangles.
 
-    Non-triangle elements are ignored with a count warning.  Unknown format
-    versions, binary files, malformed or truncated sections, triangles on
-    undefined node tags, files without triangles, and inverted or
-    degenerate triangles raise :class:`MeshError`.
+    Both versions are read from the bodies of their ``$MeshFormat``,
+    ``$Nodes`` and ``$Elements`` sections.  Nodes are ordered by tag and
+    nodes no triangle uses are dropped.  Non-triangle elements are ignored
+    with a count warning.  :class:`MeshError` is raised for unknown format
+    versions, binary files, a missing section or ``$End`` marker, a declared
+    count that differs from the rows present, a short or non-numeric row,
+    a duplicate node tag, a triangle on an undefined node tag, a file
+    without triangles, and inverted or degenerate triangles.
     """
     # undecodable bytes must not stop the header check; in a field they
     # fail to parse like any other malformed text
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = fh.read().splitlines()
+        lines = [line.strip() for line in fh.read().splitlines()]
     try:
-        fmt_at = lines.index("$MeshFormat")
-        header = lines[fmt_at + 1].split()
+        header = _section(lines, "MeshFormat")[0].split()
         version = header[0]
-    except (ValueError, IndexError) as exc:
+    except IndexError as exc:
         raise MeshError("missing $MeshFormat header") from exc
     if header[1:2] == ["1"]:
         raise MeshError("binary gmsh files are not supported")
     if version.startswith("2.2"):
-        parse = _parse_msh22
+        read = _read_msh22
     elif version.startswith("4.1"):
-        parse = _parse_msh41
+        read = _read_msh41
     else:
         raise MeshError(f"unsupported gmsh format version {version}")
     try:
-        nodes, triangles, skipped = parse(lines)
-        triangle_tags = np.array(triangles, dtype=np.int64)
+        tags, xy, triangles, skipped = read(_section(lines, "Nodes"), _section(lines, "Elements"))
+        tags = np.array(tags, dtype=np.int64)
+        xy = np.array(xy, dtype=float)
+        triangles = np.array(triangles, dtype=np.int64)
+    except MeshError:
+        raise
     except ValueError as exc:
         raise MeshError(f"malformed gmsh file: {exc}") from exc
     except IndexError as exc:
         raise MeshError("malformed gmsh file: a section or row ends early") from exc
-    coords, conn = _finish_gmsh(nodes, triangle_tags)
+    if triangles.size == 0:
+        raise MeshError("mesh file contains no triangles")
+    order = np.argsort(tags)
+    tags = tags[order]
+    repeated = tags[1:] == tags[:-1]
+    if repeated.any():
+        raise MeshError(f"duplicate node tag {tags[1:][repeated][0]}")
+    undefined = ~np.isin(triangles, tags)
+    if undefined.any():
+        raise MeshError(f"triangle refers to undefined node tag {triangles[undefined][0]}")
     if skipped:
         warnings.warn(f"ignored {skipped} non-triangle element(s)")
-    return TriMesh(coords, conn)
+    # gmsh files routinely carry boundary-only points; drop them
+    return TriMesh(*_drop_unused(xy[order], np.searchsorted(tags, triangles)))
 
 
 def write_msh22(mesh: TriMesh, path) -> None:

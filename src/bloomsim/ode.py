@@ -36,6 +36,7 @@ from .core import (
     DomainError,
     HomState,
     ModelParams,
+    _extinction_P,
     _growth_h,
     _quota,
     _rho_tilde,
@@ -112,14 +113,15 @@ class HomTrajectory:
         B, p, P = np.maximum(self.y[:, -1], 0.0)
         return HomState(B, p, P)
 
-    def validate(self, positivity_tol: float = 1e-10, quota_tol: float = 1e-6) -> None:
-        """Check positivity and the quota tube at every sample."""
-        if self.y.min() < -positivity_tol:
+    def validate(self) -> None:
+        """Check positivity (to 1e-10) and the quota tube (to 1e-6) at every
+        sample."""
+        if self.y.min() < -1e-10:
             raise IntegrationError(
                 "negative state beyond tolerance", float(self.t[-1]), self.y[:, -1]
             )
         q = self.quota()
-        lo, hi = self.params.Q_m - quota_tol, self.params.Q_M + quota_tol
+        lo, hi = self.params.Q_m - 1e-6, self.params.Q_M + 1e-6
         if np.any(q < lo) or np.any(q > hi):
             raise IntegrationError(
                 "cell quota left [Q_m, Q_M] tube", float(self.t[-1]), self.y[:, -1]
@@ -172,13 +174,12 @@ def integrate_homogeneous(
     rtol: float = 1e-8,
     atol: float = 1e-11,
     t_eval: np.ndarray | None = None,
-    validate: bool = True,
 ) -> HomTrajectory:
     """Integrate the movement-free system from ``initial`` to ``t_end``.
 
     Uses the adaptive implicit BDF scheme with the analytic Jacobian.  The
     returned trajectory is checked against positivity and the quota tube
-    unless ``validate`` is disabled.
+    (see :meth:`HomTrajectory.validate`).
 
     Raises
     ------
@@ -195,19 +196,16 @@ def integrate_homogeneous(
     sol = _solve_bdf(_rhs_flat, _jac_flat, initial.as_array(), t_end, rtol, atol,
                      np.asarray(t_eval, dtype=float), args=(params,))
     traj = HomTrajectory(sol.t, sol.y, params, sol.nfev, sol.njev, sol.nlu)
-    if validate:
-        traj.validate()
+    traj.validate()
     return traj
 
 
 def extinction_state(params: ModelParams) -> HomState:
     """The biomass-free equilibrium (0, 0, P_h + P_in z_m / D); raises
     :class:`DomainError` when D = 0 and P_in > 0, where none exists."""
-    if params.exchange == 0.0:
-        if params.P_in > 0.0:
-            raise DomainError("no equilibrium: with D = 0 the source P_in > 0 has no outlet")
-        return HomState(0.0, 0.0, params.P_h)
-    return HomState(0.0, 0.0, params.P_h + params.P_in / params.exchange)
+    if params.exchange == 0.0 and params.P_in > 0.0:
+        raise DomainError("no equilibrium: with D = 0 the source P_in > 0 has no outlet")
+    return HomState(0.0, 0.0, _extinction_P(params))
 
 
 def _newton(y0: np.ndarray, params: ModelParams, rtol: float) -> tuple[np.ndarray, float, bool]:

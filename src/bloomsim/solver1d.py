@@ -135,25 +135,20 @@ class Field1D:
         err = np.abs(self.p - self.Q * self.B).max()
         return float(err / max(np.abs(self.p).max(), EPS_B))
 
-    def validate(
-        self,
-        params: ModelParams,
-        positivity_tol: float = 1e-10,
-        quota_tol: float = 1e-6,
-        consistency_tol: float = 1e-2,
-    ) -> None:
-        """Positivity, the quota tube, and p = Q B sanity.
+    def validate(self, params: ModelParams) -> None:
+        """Positivity (to 1e-10), the quota tube (to 1e-6), and p = Q B
+        sanity (relative error at most 1e-2).
 
-        The default consistency tolerance is a loose divergence trap; tests
-        assert the tight (1e-6) agreement on windless scenarios where it is
+        The consistency tolerance is a loose divergence trap; tests assert
+        the tight (1e-6) agreement on windless scenarios where it is
         meaningful (see :meth:`consistency_error`).
         """
-        if min(self.B.min(), self.P.min(), self.p.min()) < -positivity_tol:
+        if min(self.B.min(), self.P.min(), self.p.min()) < -1e-10:
             raise ValueError("negative state beyond tolerance")
-        if self.Q.min() < params.Q_m - quota_tol or self.Q.max() > params.Q_M + quota_tol:
+        if self.Q.min() < params.Q_m - 1e-6 or self.Q.max() > params.Q_M + 1e-6:
             raise ValueError("cell quota left the [Q_m, Q_M] tube")
         err = self.consistency_error()
-        if err > consistency_tol:
+        if err > 1e-2:
             raise ValueError(f"p and Q*B inconsistent: rel err {err:.3e}")
 
 
@@ -340,9 +335,9 @@ class Trajectory1D:
         """(n_samples, Nx) array of one component."""
         return np.stack([getattr(f, name) for f in self.fields])
 
-    def validate(self, **tolerances) -> None:
+    def validate(self) -> None:
         for f in self.fields:
-            f.validate(self.params, **tolerances)
+            f.validate(self.params)
 
 
 def integrate_1d(

@@ -61,6 +61,9 @@ QUOTA_B_FLOOR = 1e-6
 #: step shrinks the residual by less than this factor.
 _REFACTOR_RATIO = 0.1
 
+#: Newton iterations per step before it falls back to two half steps.
+_MAX_ITER = 25
+
 
 class NewtonError(RuntimeError):
     """Backward-Euler Newton iteration failed to converge."""
@@ -128,24 +131,20 @@ class Field2D:
         """Pointwise p/B, with q_hat where biomass has numerically vanished."""
         return _quota(self.B, self.p, params)
 
-    def validate(
-        self,
-        params: ModelParams,
-        positivity_tol: float = 1e-10,
-        quota_tol: float = 1e-6,
-    ) -> None:
-        """Positivity everywhere; the quota tube where biomass is alive.
+    def validate(self, params: ModelParams) -> None:
+        """Positivity everywhere (to 1e-10); the quota tube (to 1e-6) where
+        biomass is alive.
 
         The tube check masks nodes below :data:`QUOTA_B_FLOOR`: underneath
         it the regularized growth quota B/(p + eps) deliberately departs
         from p/B, so the raw ratio carries no information there.
         """
-        if min(self.B.min(), self.p.min(), self.P.min()) < -positivity_tol:
+        if min(self.B.min(), self.p.min(), self.P.min()) < -1e-10:
             raise ValueError("negative nodal value beyond tolerance")
         mask = self.B > QUOTA_B_FLOOR
         if mask.any():
             q = self.p[mask] / self.B[mask]
-            if q.min() < params.Q_m - quota_tol or q.max() > params.Q_M + quota_tol:
+            if q.min() < params.Q_m - 1e-6 or q.max() > params.Q_M + 1e-6:
                 raise ValueError("cell quota left the [Q_m, Q_M] tube")
 
 
@@ -242,7 +241,6 @@ def newton_be_step(
     wind,
     params: ModelParams,
     tol: float = 1e-12,
-    max_iter: int = 25,
     _depth: int = 0,
     _stats: _NewtonStats | None = None,
 ) -> Field2D:
@@ -298,7 +296,7 @@ def newton_be_step(
     lu = None
     prev_res = math.inf
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         F = residual(y)
         res = np.linalg.norm(F)
         if res <= tol * scale:
@@ -328,12 +326,9 @@ def newton_be_step(
             )
         _stats.half_step_retries += 1
         half = newton_be_step(
-            U_n, dt / 2, t_next - dt / 2, mesh, wind, params, tol, max_iter, _depth + 1,
-            _stats,
+            U_n, dt / 2, t_next - dt / 2, mesh, wind, params, tol, _depth + 1, _stats
         )
-        return newton_be_step(
-            half, dt / 2, t_next, mesh, wind, params, tol, max_iter, _depth + 1, _stats
-        )
+        return newton_be_step(half, dt / 2, t_next, mesh, wind, params, tol, _depth + 1, _stats)
     return Field2D.unstack(y)
 
 
@@ -369,9 +364,9 @@ class Snapshots2D:
     factorizations: int = 0
     half_step_retries: int = 0
 
-    def validate(self, **tolerances) -> None:
+    def validate(self) -> None:
         for f in self.fields:
-            f.validate(self.params, **tolerances)
+            f.validate(self.params)
 
 
 def simulate_2d(
@@ -382,7 +377,6 @@ def simulate_2d(
     dt: float,
     t_end: float,
     output_times,
-    tol: float = 1e-12,
     validate: bool = True,
 ) -> Snapshots2D:
     """March the lake model to ``t_end``, storing the requested snapshots.
@@ -424,7 +418,7 @@ def simulate_2d(
                         RuntimeWarning,
                     )
                     peclet_warned = True
-            U = newton_be_step(U, step, t_next, mesh, wind_fn, params, tol=tol, _stats=stats)
+            U = newton_be_step(U, step, t_next, mesh, wind_fn, params, _stats=stats)
             t = t_next
         snapshots.append(U)
         taken.append(t)

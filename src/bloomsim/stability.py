@@ -85,7 +85,6 @@ def assemble_jacobian(
     n: int,
     v: float,
     params: ModelParams,
-    residual_tol: float = EQUILIBRIUM_RESIDUAL_TOL,
 ) -> np.ndarray:
     """Jacobian J(n) of the mode-n linearization around an equilibrium.
 
@@ -97,30 +96,29 @@ def assemble_jacobian(
     Raises
     ------
     ValueError
-        If ``eq`` is not an equilibrium within ``residual_tol`` (relative to
-        the state scale), or n is negative.
+        If ``eq`` is not an equilibrium within
+        :data:`EQUILIBRIUM_RESIDUAL_TOL` (relative to the state scale), or n
+        is negative.
     """
     if n < 0:
         raise ValueError("mode number n must be >= 0")
     residual = np.linalg.norm(reaction_rhs(eq, params))
     scale = max(1.0, float(np.linalg.norm(eq.as_array(), np.inf)))
-    if residual > residual_tol * scale:
+    if residual > EQUILIBRIUM_RESIDUAL_TOL * scale:
         raise ValueError(
             f"state is not an equilibrium: |rhs| = {residual:.3e} "
-            f"> {residual_tol:.1e} * {scale:g}"
+            f"> {EQUILIBRIUM_RESIDUAL_TOL:.1e} * {scale:g}"
         )
     A = reaction_jacobian(eq.B, eq.p, eq.P, params)
     return A.astype(complex) + np.diag(_delta_diag(n, v, params))
 
 
-def eigen_3x3(
-    matrix: np.ndarray, residual_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def eigen_3x3(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Eigenpairs of a 3x3 complex matrix, sorted by descending real part.
 
     Returns (eigenvalues, eigenvectors, defective_warning).  Eigenvectors are
     unit-norm columns; each pair is verified to satisfy ``|J v - mu v| <
-    residual_tol * |J|``.  Near-coincident eigenvalues set the warning flag
+    1e-10 |J|``.  Near-coincident eigenvalues set the warning flag
     (the perturbation formula assumes simple eigenvalues) instead of raising.
     """
     J = np.asarray(matrix, dtype=complex)
@@ -135,7 +133,7 @@ def eigen_3x3(
     norm_J = np.linalg.norm(J)
     for i in range(3):
         res = np.linalg.norm(J @ vectors[:, i] - values[i] * vectors[:, i])
-        if res > residual_tol * max(norm_J, 1e-300):
+        if res > 1e-10 * max(norm_J, 1e-300):
             raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance")
 
     gaps = [abs(values[i] - values[j]) for i in range(3) for j in range(i + 1, 3)]

@@ -1,6 +1,7 @@
 """Mesh construction, gmsh parsing, refinement, and the lake fixture."""
 
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,6 +60,43 @@ $Elements
 3 1 3 4
 $EndElements
 """
+
+# the MSH22_SQUARE nodes and elements, plus an unused node 5, in two node
+# blocks and with the line element in a block of its own
+MSH41_TWO_NODE_BLOCKS = """$MeshFormat
+4.1 0 8
+$EndMeshFormat
+$PhysicalNames
+1
+2 1 "lake"
+$EndPhysicalNames
+$Nodes
+2 5 1 5
+0 1 0 2
+1
+2
+0 0 0
+1 0 0
+2 1 0 3
+3
+4
+5
+1 1 0
+0 1 0
+2 2 0
+$EndNodes
+$Elements
+2 3 1 3
+1 1 1 1
+1 1 2
+2 1 2 2
+2 1 2 3
+3 1 3 4
+$EndElements
+"""
+
+MSH22_TWIN = MSH22_SQUARE.replace("$Nodes\n4\n", "$Nodes\n5\n").replace(
+    "4 0 1 0\n", "4 0 1 0\n5 2 2 0\n")
 
 
 class TestTriMesh:
@@ -224,6 +262,81 @@ $EndElements
                 fh.write(f"{i} 2 2 0 1 {a + 1} {b + 1} {c + 1}\n")
             fh.write("$EndElements\n")
         assert (tmp_path / "new.msh").read_bytes() == (tmp_path / "old.msh").read_bytes()
+
+    @pytest.mark.parametrize("version", ["2.2", "4.1", "lake"])
+    def test_every_truncation_rejected(self, tmp_path, version):
+        path = tmp_path / "full.msh"
+        if version == "lake":
+            write_msh22(synthetic_lake_mesh(target_h=150.0), path)
+        else:
+            path.write_text(MSH22_SQUARE if version == "2.2" else MSH41_SQUARE)
+        lines = path.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.msh"
+        for k in range(len(lines)):
+            cut.write_text("".join(lines[:k]))
+            with pytest.raises(MeshError):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    load_gmsh_mesh(cut)
+
+    @pytest.mark.parametrize("content, problem", [
+        (MSH22_SQUARE.replace("$Nodes\n4\n", "$Nodes\n5\n"),
+         "Nodes declares 5 entries but holds 4"),
+        (MSH22_SQUARE.replace("$Elements\n3\n", "$Elements\n2\n"),
+         "Elements declares 2 entries but holds 3"),
+        (MSH22_SQUARE.replace("3 2 2 0 1 1 3 4\n", ""),
+         "Elements declares 3 entries but holds 2"),
+        (MSH41_SQUARE.replace("2 1 0 4\n", "2 1 0 5\n"),
+         "Nodes block declares 5 entries but holds 4"),
+        (MSH41_SQUARE.replace("2 1 2 2\n", "2 1 2 1\n"),
+         r"Elements holds 1 line\(s\) past its 2 block\(s\)"),
+        (MSH41_SQUARE.replace("1 4 1 4\n", "1 3 1 4\n"),
+         "Nodes declares 3 entries but holds 4"),
+        (MSH41_SQUARE.replace("2 3 1 3\n", "2 4 1 3\n"),
+         "Elements declares 4 entries but holds 3"),
+    ], ids=["v22-above", "v22-below", "v22-row-cut", "v41-block-above", "v41-block-below",
+            "v41-total-below", "v41-total-above"])
+    def test_count_mismatch_rejected(self, tmp_path, content, problem):
+        path = tmp_path / "miscounted.msh"
+        path.write_text(content)
+        with pytest.raises(MeshError, match=problem):
+            load_gmsh_mesh(path)
+
+    @pytest.mark.parametrize("content", [
+        # a second node tagged 2 at (2, 0) would leave the square with area 1.5
+        MSH22_SQUARE.replace("$Nodes\n4\n", "$Nodes\n5\n").replace(
+            "4 0 1 0\n", "4 0 1 0\n2 2 0 0\n"),
+        MSH41_SQUARE.replace("3\n4\n0 0 0", "3\n2\n0 0 0"),
+    ], ids=["v22", "v41"])
+    def test_duplicate_node_tag_rejected(self, tmp_path, content):
+        path = tmp_path / "duplicate.msh"
+        path.write_text(content)
+        with pytest.raises(MeshError, match="duplicate node tag 2"):
+            load_gmsh_mesh(path)
+
+    def test_v41_blocks_load_like_v22_twin(self, tmp_path):
+        meshes = []
+        for name, text in (("twin22.msh", MSH22_TWIN), ("twin41.msh", MSH41_TWO_NODE_BLOCKS)):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.warns(UserWarning, match="ignored 1 non-triangle"):
+                meshes.append(load_gmsh_mesh(path))
+        v22, v41 = meshes
+        assert v41.n_nodes == 4  # the unused node 5 is dropped
+        assert np.array_equal(v41.nodes, v22.nodes)
+        assert np.array_equal(v41.triangles, v22.triangles)
+
+    @pytest.mark.parametrize("refinements", [0, 1, 2])
+    @pytest.mark.parametrize("target_h", [80.0, 130.0, 150.0])
+    def test_write_read_is_exact(self, tmp_path, target_h, refinements):
+        mesh = synthetic_lake_mesh(target_h=target_h)
+        for _ in range(refinements):
+            mesh = refine_uniform(mesh)
+        path = tmp_path / "lake.msh"
+        write_msh22(mesh, path)
+        back = load_gmsh_mesh(path)
+        assert np.array_equal(back.nodes, mesh.nodes)
+        assert np.array_equal(back.triangles, mesh.triangles)
 
 
 class TestRefine:

@@ -162,6 +162,16 @@ class TestFindEquilibrium:
         if kind == "extinction":
             assert state.P == pytest.approx(p.P_h + p.P_in / p.exchange)
 
+    def test_external_source_alone_sustains_a_bloom(self):
+        # no hypolimnion phosphorus: the source P_in sets the extinction
+        # state's P* = P_in/(D/z_m) = 2.5, at which the R0 gate opens
+        p = default_params(r=1.0, P_h=0.0, P_in=0.01)
+        assert r0(p) > 1.0
+        state, kind = find_equilibrium(p)
+        assert kind == "positive"
+        final = integrate_homogeneous(HomState(1.0, 0.02, 2.5), p, 4000.0).y[:, -1]
+        assert np.abs(final - state.as_array()).max() < 1e-6
+
     def test_poor_guess_falls_back_to_integration(self, params_case3):
         # a guess near the (unstable) extinction state still finds E*
         state, kind = find_equilibrium(params_case3, guess=HomState(1e-3, 1e-3 * 0.01, 0.2))
@@ -182,6 +192,11 @@ class TestFindEquilibrium:
         _assert_equilibrium(state, params)
         if r0(params) <= 1.0:
             assert kind == "extinction"
+            if params.D > 0.0:
+                # the R0 gate agrees with the reduced equation at the
+                # extinction state's dissolved phosphorus
+                P_star = params.P_h + params.P_in / params.exchange
+                assert _equilibrium_biomass(params, P_star) == 0.0
         elif params.D > 0.0:
             # the open budget P_h + P_in z_m/D carries a bloom whenever R0 > 1
             assert kind == "positive"
