@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ import scipy
 from . import __version__
 from ._textio import export_csv
 from .core import HomState, ModelParams, b_bar, default_params, q_hat, r0
-from .mesh import MeshError, load_gmsh_mesh, synthetic_lake_mesh, write_msh22
+from .mesh import load_gmsh_mesh, synthetic_lake_mesh, write_msh22
 from .ode import extinction_state, find_equilibrium, integrate_homogeneous
 from .sensitivity import (
     FACTOR_BOUNDS,
@@ -67,6 +68,20 @@ _PARAM_KEYS = {f.name for f in ModelParams.__dataclass_fields__.values()}
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+@contextmanager
+def _reading(what: str):
+    """Report a TypeError or ValueError raised while ``what`` (a config
+    section or an input file it names) is read into objects as a
+    :class:`ConfigError` naming it.  Solvers run outside these blocks, so
+    their errors are never reported as usage errors."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
@@ -118,11 +133,8 @@ def _wind_from(section: dict | None, base_dir: Path):
         path = base_dir / section["csv"]
         if not path.exists():
             raise ConfigError(f"wind file not found: {path}")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                series = parse_wind_records(fh)
-        except ValueError as exc:
-            raise ConfigError(f"bad wind file {path}: {exc}") from exc
+        with _reading(f"wind file {path}"), open(path, "r", encoding="utf-8") as fh:
+            series = parse_wind_records(fh)
         if section.get("daily", True):
             series = aggregate_daily(series)
         return series
@@ -177,17 +189,12 @@ def _write_manifest(out_dir: Path, config: dict, subcommand: str, seed, outputs,
 
 def _run_ode(config, params, out_dir, seed, threads, base_dir):
     section = config.get("ode", {})
-    initial = HomState(*[float(v) for v in section.get("initial", [5.0, 0.1, 0.15])])
-    t_end = float(section.get("t_end", 4000.0))
-    t_eval = np.linspace(0.0, t_end, int(section.get("samples", 401)))
-    traj = integrate_homogeneous(
-        initial,
-        params,
-        t_end,
-        rtol=float(section.get("rtol", 1e-8)),
-        atol=float(section.get("atol", 1e-11)),
-        t_eval=t_eval,
-    )
+    with _reading("ode section"):
+        initial = HomState(*[float(v) for v in section.get("initial", [5.0, 0.1, 0.15])])
+        t_end = float(section.get("t_end", 4000.0))
+        t_eval = np.linspace(0.0, t_end, int(section.get("samples", 401)))
+        rtol, atol = float(section.get("rtol", 1e-8)), float(section.get("atol", 1e-11))
+    traj = integrate_homogeneous(initial, params, t_end, rtol=rtol, atol=atol, t_eval=t_eval)
     rows = [
         (float(t), float(B), float(p), float(P), float(q))
         for t, B, p, P, q in zip(traj.t, traj.B, traj.p, traj.P, traj.quota())
@@ -209,6 +216,8 @@ def _run_ode(config, params, out_dir, seed, threads, base_dir):
 def _run_stability(config, params, out_dir, seed, threads, base_dir):
     section = config.get("stability", {})
     which = section.get("equilibrium", "extinction")
+    with _reading("stability section"):
+        n_max, wind_speed = int(section.get("n_max", 30)), float(section.get("wind_speed", 1.0))
     if which == "extinction":
         eq = extinction_state(params)
     elif which == "positive":
@@ -217,9 +226,7 @@ def _run_stability(config, params, out_dir, seed, threads, base_dir):
             raise ConfigError("no positive equilibrium exists for these parameters (R0 <= 1)")
     else:
         raise ConfigError(f"unknown equilibrium {which!r}")
-    spectra, verdict = mode_sweep(
-        eq, int(section.get("n_max", 30)), float(section.get("wind_speed", 1.0)), params
-    )
+    spectra, verdict = mode_sweep(eq, n_max, wind_speed, params)
     spectrum_path = out_dir / "spectrum.csv"
     write_spectrum_csv(spectra, spectrum_path)
     summary_path = out_dir / "summary.csv"
@@ -234,22 +241,16 @@ def _run_stability(config, params, out_dir, seed, threads, base_dir):
 
 def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
     section = config.get("sim1d", {})
-    grid = Grid1D(float(section.get("L", 1000.0)), int(section.get("Nx", 101)))
-    wind = _wind_from(section.get("wind"), base_dir)
-    initial = _initial(Field1D, section.get("initial"), grid, params,
-                       _SECTION_KEYS["initial_1d"], "sim1d.initial")
-    t_end = float(section.get("t_end", 365.0))
-    sample_times = np.linspace(0.0, t_end, int(section.get("samples", 25)))
-    traj = integrate_1d(
-        initial,
-        grid,
-        wind,
-        params,
-        t_end,
-        rtol=float(section.get("rtol", 1e-8)),
-        atol=float(section.get("atol", 1e-10)),
-        sample_times=sample_times,
-    )
+    with _reading("sim1d section"):
+        grid = Grid1D(float(section.get("L", 1000.0)), int(section.get("Nx", 101)))
+        wind = _wind_from(section.get("wind"), base_dir)
+        initial = _initial(Field1D, section.get("initial"), grid, params,
+                           _SECTION_KEYS["initial_1d"], "sim1d.initial")
+        t_end = float(section.get("t_end", 365.0))
+        sample_times = np.linspace(0.0, t_end, int(section.get("samples", 25)))
+        rtol, atol = float(section.get("rtol", 1e-8)), float(section.get("atol", 1e-10))
+    traj = integrate_1d(initial, grid, wind, params, t_end, rtol=rtol, atol=atol,
+                        sample_times=sample_times)
     sol_path = out_dir / "solution.csv"
     write_trajectory_csv(traj, sol_path)
     B_final = traj.fields[-1].B
@@ -268,25 +269,23 @@ def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
 def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
     section = config.get("sim2d", {})
     mesh_ref = section.get("mesh", "synthetic")
-    if mesh_ref == "synthetic":
-        mesh = synthetic_lake_mesh()
-        write_msh22(mesh, out_dir / "mesh_used.msh")
-    else:
-        path = base_dir / mesh_ref
-        if not path.exists():
-            raise ConfigError(f"mesh file not found: {path}")
-        try:
-            mesh = load_gmsh_mesh(path)
-        except MeshError as exc:
-            raise ConfigError(f"bad mesh file {path}: {exc}") from exc
-    wind = _wind_from(section.get("wind"), base_dir)
-    initial = _initial(Field2D, section.get("initial"), mesh, params,
-                       _SECTION_KEYS["initial_2d"], "sim2d.initial")
-    t_end = float(section.get("t_end", 50.0))
-    output_times = section.get("output_times", list(np.linspace(0.0, t_end, 6)))
-    snaps = simulate_2d(
-        initial, mesh, wind, params, float(section.get("dt", 0.5)), t_end, output_times
-    )
+    with _reading("sim2d section"):
+        if mesh_ref == "synthetic":
+            mesh = synthetic_lake_mesh()
+            write_msh22(mesh, out_dir / "mesh_used.msh")
+        else:
+            path = base_dir / mesh_ref
+            if not path.exists():
+                raise ConfigError(f"mesh file not found: {path}")
+            with _reading(f"mesh file {path}"):
+                mesh = load_gmsh_mesh(path)
+        wind = _wind_from(section.get("wind"), base_dir)
+        initial = _initial(Field2D, section.get("initial"), mesh, params,
+                           _SECTION_KEYS["initial_2d"], "sim2d.initial")
+        t_end = float(section.get("t_end", 50.0))
+        output_times = section.get("output_times", list(np.linspace(0.0, t_end, 6)))
+        dt = float(section.get("dt", 0.5))
+    snaps = simulate_2d(initial, mesh, wind, params, dt, t_end, output_times)
     outputs = []
     manifest_rows = []
     for t, fld in zip(snaps.times, snaps.fields):
@@ -306,25 +305,27 @@ def _run_sobol(config, params, out_dir, seed, threads, base_dir):
     if seed is None:
         raise ConfigError("the sobol subcommand requires an explicit --seed")
     section = config.get("sobol", {})
-    ranges = section.get("ranges", {})
-    _reject_unknown(ranges, set(FACTOR_NAMES), "sobol.ranges")
-    bounds = tuple(
-        tuple(ranges.get(name, FACTOR_BOUNDS[name])) for name in FACTOR_NAMES
-    )
-    initial = dict(section.get("initial", {}))
-    _reject_unknown(initial, {"B_base", "B_peak", "Q0", "P0"}, "sobol.initial")
-    problem = SobolProblem(
-        base_params=params,
-        bounds=bounds,
-        L=float(section.get("L", 1000.0)),
-        Nx=int(section.get("Nx", 41)),
-        horizon=float(section.get("horizon", 365.0)),
-        bin_days=float(section.get("bin_days", 60.0)),
-        sample_every=float(section.get("sample_every", 5.0)),
-        wind=_wind_from(section.get("wind"), base_dir),
-        **{k: float(v) for k, v in initial.items()},
-    )
-    report = run_sensitivity(problem, int(section.get("N", 256)), seed, n_jobs=threads)
+    with _reading("sobol section"):
+        ranges = section.get("ranges", {})
+        _reject_unknown(ranges, set(FACTOR_NAMES), "sobol.ranges")
+        bounds = tuple(
+            tuple(ranges.get(name, FACTOR_BOUNDS[name])) for name in FACTOR_NAMES
+        )
+        initial = dict(section.get("initial", {}))
+        _reject_unknown(initial, {"B_base", "B_peak", "Q0", "P0"}, "sobol.initial")
+        problem = SobolProblem(
+            base_params=params,
+            bounds=bounds,
+            L=float(section.get("L", 1000.0)),
+            Nx=int(section.get("Nx", 41)),
+            horizon=float(section.get("horizon", 365.0)),
+            bin_days=float(section.get("bin_days", 60.0)),
+            sample_every=float(section.get("sample_every", 5.0)),
+            wind=_wind_from(section.get("wind"), base_dir),
+            **{k: float(v) for k, v in initial.items()},
+        )
+        N = int(section.get("N", 256))
+    report = run_sensitivity(problem, N, seed, n_jobs=threads)
     report_path = out_dir / "sobol_indices.csv"
     write_report_csv(report, report_path)
     ranking = sorted(
@@ -353,7 +354,8 @@ def run_config(
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     config_path = Path(config_path)
     config = load_config(config_path)
-    params = _params_from(config)
+    with _reading("params section"):
+        params = _params_from(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_dir = config_path.parent

@@ -16,13 +16,18 @@ assumed.  Spatial terms on the uniform grid:
 
 Time integration uses the adaptive implicit BDF scheme with the exact
 sparse Jacobian: four-by-four blocks of tridiagonal bands, assembled into a
-fixed CSC pattern.  Trajectories export as long-format CSV with 17
-significant digits, one block write per sample.
+fixed CSC pattern.  BDF calls :func:`rhs_1d` and the Jacobian directly on
+its flat (4 Nx,) state, the nodal rows in (B, Q, P, p) order, with the
+``solve_ivp`` argument order ``(t, y, grid, wind, params)``;
+:class:`Field1D` is the type of initial fields and samples.  Trajectories
+export as long-format CSV with 17 significant digits, one block write per
+sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags, kron
@@ -192,28 +197,26 @@ def _diffusivities(params: ModelParams) -> np.ndarray:
     return np.array([[params.alpha], [params.alpha], [params.beta], [params.alpha]])
 
 
-def rhs_1d(
-    fields: Field1D,
-    t: float,
-    grid: Grid1D,
-    wind,
-    params: ModelParams,
-) -> Field1D:
-    """Per-node time derivatives of (B, Q, P, p) at time ``t``.
+def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> np.ndarray:
+    """Time derivative of the flat transect state ``y`` at time ``t``.
 
-    The scalar transect wind is the east component of the supplied wind
-    evaluator.  The Laplacian and upwind differences of all four fields
-    come from one pass over the stacked fields.  The B, p and P reaction
-    terms come from the shared reaction kernel with the inverse growth
-    quota 1/clip(Q, Q_m, Q_M), so like the 2D solver they see states
-    clipped to >= 0 in their nonlinear coefficients; the Q row reuses the
-    kernel's h(B) and uptake coefficient.  With spatially constant fields
+    ``y`` holds the (4 Nx,) nodal values in :meth:`Field1D.stack` order
+    (B, Q, P, p) and the result has the same layout; the argument order is
+    that of ``solve_ivp(rhs_1d, ..., args=(grid, wind, params))``.  The
+    rows are read as views of ``y``, which is left unchanged.  The scalar
+    transect wind is the east component of the supplied wind evaluator.
+    The Laplacian and upwind differences of all four fields come from one
+    pass over the stacked rows.  The B, p and P reaction terms come from
+    the shared reaction kernel with the inverse growth quota
+    1/clip(Q, Q_m, Q_M), so like the 2D solver they see states clipped to
+    >= 0 in their nonlinear coefficients; the Q row reuses the kernel's
+    h(B) and uptake coefficient.  With spatially constant fields
     and still water the derivative reduces to the homogeneous reaction
     rates at every node.
     """
     dx = grid.dx
     v = float(as_wind(wind)(t)[0])
-    U = np.stack((fields.B, fields.Q, fields.P, fields.p))
+    U = y.reshape(4, grid.Nx)
     B, Q, P, p = U
     backward, forward, speeds, _, _ = _transport(U, v, dx, params)
     dU = (
@@ -231,7 +234,7 @@ def rhs_1d(
     # budget exact in the discretization
     dU[_KERNEL_ROWS] += react.rates
     dU[1] += react.uptake * (params.Q_M - Qc) - params.r * (Q - params.Q_m) * react.h
-    return Field1D(*dU)
+    return dU.reshape(-1)
 
 
 def _jac_sparsity(Nx: int):
@@ -241,6 +244,7 @@ def _jac_sparsity(Nx: int):
     return kron(np.ones((4, 4), dtype=np.int8), tridiagonal, format="csr")
 
 
+@lru_cache
 def _band_layout(Nx: int):
     # the CSC pattern of _jac_sparsity(Nx) and, for each stored entry, its
     # position in the (4, 4, 3, Nx) band array: band[a, b, k, i] is the
@@ -263,10 +267,13 @@ def _three_point(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return np.stack((sub, -(sub + sup), sup), axis=-2)
 
 
-def _jacobian_1d(
-    y: np.ndarray, t: float, grid: Grid1D, wind_fn, params: ModelParams, layout
-) -> csc_matrix:
-    """Exact Jacobian of the stacked ``rhs_1d`` on the fixed sparsity pattern.
+def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> csc_matrix:
+    """Exact Jacobian of :func:`rhs_1d` on the fixed sparsity pattern.
+
+    Takes the arguments of ``rhs_1d`` in the same order, as ``solve_ivp``
+    passes them to ``jac``; rows and columns follow the flat (B, Q, P, p)
+    layout.  The CSC pattern and the position of each band entry in it
+    are built once per Nx (:func:`_band_layout`).
 
     Each upwind stencil is frozen at the current sign of its speed; the Q
     speed's dependence on B is differentiated, with the slope of
@@ -277,7 +284,7 @@ def _jacobian_1d(
     Nx, dx = grid.Nx, grid.dx
     U = y.reshape(4, Nx)
     B, Q, P, p = U
-    v = float(wind_fn(t)[0])
+    v = float(as_wind(wind)(t)[0])
     backward, forward, speeds, central, guarded = _transport(U, v, dx, params)
     band = np.zeros((4, 4, 3, Nx))
 
@@ -309,7 +316,7 @@ def _jacobian_1d(
     band[1, 0, 1] -= params.r * (Q - params.Q_m) * react.h_prime
     band[1, 2, 1] += react.uptake_prime * (params.Q_M - Qc)
 
-    pattern, source = layout
+    pattern, source = _band_layout(Nx)
     return csc_matrix((band.reshape(-1)[source], pattern.indices, pattern.indptr),
                       shape=pattern.shape)
 
@@ -368,20 +375,11 @@ def integrate_1d(
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 11)
     sample_times = np.asarray(sample_times, dtype=float)
-    wind_fn = as_wind(wind)
-    layout = _band_layout(grid.Nx)
-
-    def rhs_flat(t, y):
-        return rhs_1d(Field1D.unstack(y), t, grid, wind_fn, params).stack()
-
-    def jac_flat(t, y):
-        return _jacobian_1d(y, t, grid, wind_fn, params, layout)
-
     # singular iteration matrices (e.g. non-finite forcing) surface as
     # low-level SuperLU and ValueError failures; present them as
     # IntegrationError
-    sol = _solve_bdf(rhs_flat, jac_flat, initial.stack(), t_end, rtol, atol,
-                     sample_times, convert=(RuntimeError, ValueError))
+    sol = _solve_bdf(rhs_1d, _jacobian_1d, initial.stack(), t_end, rtol, atol, sample_times,
+                     args=(grid, as_wind(wind), params), convert=(RuntimeError, ValueError))
     fields = [Field1D.unstack(sol.y[:, i]) for i in range(sol.t.size)]
     traj = Trajectory1D(sol.t, fields, grid, params, sol.nfev, sol.njev, sol.nlu)
     if validate:

@@ -2,15 +2,16 @@
 
 The three fields (B, p, P) live on the nodes of a triangular lake mesh with
 zero-flux boundaries.  Spatial operators are the standard P1 matrices: the
-mass matrix M (consistent form exposed by :func:`assemble_fem`, row-sum
-lumped form driving the time stepping), the stiffness matrix K (scaled by
-the diffusivity of each field), and an advection matrix C(v) = integral
-(v . grad phi_j) phi_i, linear in the wind vector and shared by all fields
-up to the dimensionless advection scalars.  Reactions are interpolated
-nodewise (group finite elements), which makes the internal uptake/recycling
-exchange between p and P cancel exactly and keeps the closed phosphorus
-budget conservative to solver tolerance; with the lumped mass it also keeps
-pure diffusion positivity preserving on Delaunay meshes.
+mass matrix M (consistent form exposed by :func:`assemble_fem`; its row
+sums, a node vector, are the lumped mass of the time stepping), the
+stiffness matrix K (scaled by the diffusivity of each field), and an
+advection matrix C(v) = integral (v . grad phi_j) phi_i, linear in the wind
+vector and shared by all fields up to the dimensionless advection scalars.
+Reactions are interpolated nodewise (group finite elements), which makes
+the internal uptake/recycling exchange between p and P cancel exactly and
+keeps the closed phosphorus budget conservative to solver tolerance; with
+the lumped mass it also keeps pure diffusion positivity preserving on
+Delaunay meshes.
 
 Each backward-Euler step solves the nonlinear system by simplified Newton:
 the Jacobian (analytic reaction terms, exact spatial operators) is factored
@@ -150,30 +151,25 @@ class Field2D:
 
 @dataclass
 class FemOperators:
-    """Assembled P1 matrices for one mesh."""
+    """Assembled P1 matrices for one mesh, and the lumped mass vector.
+
+    Time stepping uses ``m_lumped``, the row sums of M, as the diagonal
+    mass M_L = diag(m_lumped): on a Delaunay mesh the implicit diffusion
+    operator M_L + dt a K is then an M-matrix, so pure diffusion preserves
+    positivity, and nodewise reactions decouple from neighbour rates.  Row
+    sums match the consistent matrix, so all mass-weighted totals coincide
+    between the two.
+    """
 
     M: csr_matrix       # consistent mass
     K: csr_matrix       # stiffness (unscaled Laplacian)
     Cx: csr_matrix      # advection in x for unit wind
     Cy: csr_matrix      # advection in y
+    m_lumped: np.ndarray  # row sums of M, one per node
 
     def advection(self, v) -> csr_matrix:
         """C(v) = vx Cx + vy Cy, linear in the wind vector."""
         return float(v[0]) * self.Cx + float(v[1]) * self.Cy
-
-    @property
-    def M_lumped(self) -> csr_matrix:
-        """Row-sum (diagonal) lumped mass matrix.
-
-        Time stepping uses the lumped form: on a Delaunay mesh the implicit
-        diffusion operator M_L + dt a K is then an M-matrix, so pure
-        diffusion preserves positivity, and nodewise reactions decouple
-        from neighbour rates.  Row sums match the consistent matrix, so all
-        mass-weighted totals coincide between the two.
-        """
-        if not hasattr(self, "_M_lumped"):
-            self._M_lumped = diags(np.asarray(self.M.sum(axis=1)).ravel()).tocsr()
-        return self._M_lumped
 
 
 def _assemble_operators(mesh: TriMesh) -> FemOperators:
@@ -202,7 +198,9 @@ def _assemble_operators(mesh: TriMesh) -> FemOperators:
     def build(vals):
         return csr_matrix((np.concatenate(vals), (rows, cols)), shape=(n, n))
 
-    return FemOperators(build(m_vals), build(k_vals), build(cx_vals), build(cy_vals))
+    M = build(m_vals)
+    return FemOperators(M, build(k_vals), build(cx_vals), build(cy_vals),
+                        np.asarray(M.sum(axis=1)).ravel())
 
 
 def _operators_for(mesh: TriMesh) -> FemOperators:
@@ -247,8 +245,9 @@ def newton_be_step(
     """One backward-Euler step of size ``dt`` ending at ``t_next``.
 
     Solves ``M_L (U - U_n) + dt (L U - M_L R(U)) = 0`` by simplified
-    Newton, where ``M_L`` is the lumped mass matrix (see
-    :meth:`FemOperators.M_lumped`): the exact sparse Jacobian is factored
+    Newton, with ``M_L = diag(m)`` for the lumped mass vector ``m`` of
+    :class:`FemOperators` (``m * x`` in the residual, ``diags(m)`` in the
+    Jacobian): the exact sparse Jacobian is factored
     once with SuperLU at the start of the step, and the iteration reuses
     that factor until one update shrinks the residual by less than a factor
     of 10; the Jacobian is then factored again at the current iterate
@@ -263,13 +262,12 @@ def newton_be_step(
     ops = _operators_for(mesh)
     v = as_wind(wind)(t_next)
     L_B, L_P = _step_matrices(ops, v, params)
-    M = ops.M_lumped
-    m = M.diagonal()
+    m = ops.m_lumped
 
     y_n = U_n.stack()
     n = mesh.n_nodes
-    scale = max(1.0, float(np.linalg.norm(M @ U_n.B)), float(np.linalg.norm(M @ U_n.p)),
-                float(np.linalg.norm(M @ U_n.P)))
+    scale = max(1.0, float(np.linalg.norm(m * U_n.B)), float(np.linalg.norm(m * U_n.p)),
+                float(np.linalg.norm(m * U_n.P)))
 
     def reactions(y, jacobian=False):
         B, p, P = y[:n], y[n : 2 * n], y[2 * n :]
@@ -279,16 +277,16 @@ def newton_be_step(
     def residual(y):
         B, p, P = y[:n], y[n : 2 * n], y[2 * n :]
         R_B, R_p, R_P = reactions(y).rates
-        F_B = M @ (B - U_n.B) + dt * (L_B @ B - M @ R_B)
-        F_p = M @ (p - U_n.p) + dt * (L_B @ p - M @ R_p)
-        F_P = M @ (P - U_n.P) + dt * (L_P @ P - M @ R_P)
+        F_B = m * (B - U_n.B) + dt * (L_B @ B - m * R_B)
+        F_p = m * (p - U_n.p) + dt * (L_B @ p - m * R_p)
+        F_P = m * (P - U_n.P) + dt * (L_P @ P - m * R_P)
         return np.concatenate([F_B, F_p, F_P])
 
     def jacobian(y):
         react = dt * (m * reactions(y, jacobian=True).jacobian)
         blocks = [[diags(-react[i, j]) for j in range(3)] for i in range(3)]
         for i, L in enumerate((L_B, L_B, L_P)):
-            blocks[i][i] = M + dt * L - diags(react[i, i])
+            blocks[i][i] = diags(m, format="csr") + dt * L - diags(react[i, i])
         blocks[0][2] = None  # growth does not see dissolved phosphorus
         return bmat(blocks, format="csc")
 

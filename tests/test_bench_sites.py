@@ -47,10 +47,13 @@ def test_count_sites_are_entered(monkeypatch):
 
         monkeypatch.setattr(module, attr, counted)
 
+    # one count per integrand evaluation: a call past the count site, or
+    # two per evaluation, would skew the benchmark's call counters
     params = default_params(r=1.0, P_h=0.2)
-    integrate_homogeneous(HomState(5.0, 0.1, 0.15), params, 10.0)
+    hom = integrate_homogeneous(HomState(5.0, 0.1, 0.15), params, 10.0)
     grid = Grid1D(100.0, 11)
-    integrate_1d(Field1D.uniform(grid, 5.0, 0.02, 0.15), grid, None, params, 1.0)
+    traj = integrate_1d(Field1D.uniform(grid, 5.0, 0.02, 0.15), grid, None, params, 1.0)
+    assert counts == {"solver1d.rhs_1d": traj.nfev, "core.reaction_rhs": hom.nfev}, counts
     assert all(counts.values()), counts
 
 

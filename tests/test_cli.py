@@ -274,6 +274,23 @@ class TestMain:
         assert code == 2
         assert str(tmp_path / name) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, body, section", [
+        ("ode", {"ode": {"t_end": "abc"}}, "ode"),
+        ("ode", {"params": {"r": "x"}, "ode": {"t_end": 10.0}}, "params"),
+        ("ode", {"params": {"r": -1}, "ode": {"t_end": 10.0}}, "params"),
+        ("sim1d", {"sim1d": {"Nx": 2.7, "t_end": 1.0}}, "sim1d"),
+        ("sim1d", {"sim1d": {"t_end": 1.0, "wind": {"mode": "synthetic", "period": 0}}},
+         "sim1d"),
+        ("sobol", {"sobol": {"N": 2, "Nx": 11, "ranges": {"z_m": [5, 2]}}}, "sobol"),
+        ("ode", {"ode": {"initial": [1, 2]}}, "ode"),
+    ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
+        path = write_config(tmp_path, {"params": CASE3, **body})
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "1"])
+        assert code == 2
+        assert f"bad {section} section: " in capsys.readouterr().err
+
     def test_env_seed_pickup(self, tmp_path, monkeypatch, capsys):
         path = write_config(
             tmp_path,

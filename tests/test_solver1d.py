@@ -21,7 +21,6 @@ from bloomsim.ode import IntegrationError, integrate_homogeneous
 from bloomsim.solver1d import (
     Field1D,
     Trajectory1D,
-    _band_layout,
     _differences,
     _jac_sparsity,
     _jacobian_1d,
@@ -59,7 +58,7 @@ class TestRhs:
         grid = build_grid(1000.0, 41)
         B0, Q0, P0 = 4.0, 0.02, 0.3
         f = Field1D.uniform(grid, B0, Q0, P0)
-        rates = rhs_1d(f, 0.0, grid, None, params_case3)
+        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, None, params_case3))
         oracle = reaction_rhs(HomState(B0, Q0 * B0, P0), params_case3)
         assert np.allclose(rates.B, oracle[0], rtol=1e-12, atol=1e-14)
         assert np.allclose(rates.p, oracle[1], rtol=1e-12, atol=1e-14)
@@ -73,7 +72,7 @@ class TestRhs:
             np.full(21, params_case2.P_h),
             np.zeros(21),
         )
-        rates = rhs_1d(f, 0.0, grid, None, params_case2)
+        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, None, params_case2))
         assert np.allclose(rates.P, 0.0, atol=1e-15)
         assert np.allclose(rates.B, 0.0, atol=1e-15)
 
@@ -82,13 +81,23 @@ class TestRhs:
         grid = build_grid(100.0, 11)
         B = np.linspace(1.0, 2.0, 11)
         f = Field1D(B, np.full(11, 0.02), np.full(11, 0.2), 0.02 * B)
-        plus = rhs_1d(f, 0.0, grid, lambda t: (+1.0, 0.0), params_case3)
-        minus = rhs_1d(f, 0.0, grid, lambda t: (-1.0, 0.0), params_case3)
+        y = f.stack()
+        plus = Field1D.unstack(rhs_1d(0.0, y, grid, lambda t: (+1.0, 0.0), params_case3))
+        minus = Field1D.unstack(rhs_1d(0.0, y, grid, lambda t: (-1.0, 0.0), params_case3))
         # the ramp has constant slope, so upwind/downwind differences match
         # except at the boundary nodes where the ghost copy zeroes one side
-        assert np.allclose(plus.B[1:-1] + minus.B[1:-1], 2 * rhs_1d(
-            f, 0.0, grid, None, params_case3).B[1:-1], rtol=1e-12)
+        assert np.allclose(plus.B[1:-1] + minus.B[1:-1], 2 * Field1D.unstack(rhs_1d(
+            0.0, y, grid, None, params_case3)).B[1:-1], rtol=1e-12)
         assert plus.B[0] != minus.B[0]
+
+    def test_flat_state_in_and_out_input_unchanged(self, params_case3):
+        # BDF's state is read through views, so the call must not write to it
+        grid = build_grid(100.0, 11)
+        y = Field1D.bump(grid, P0=0.2).stack()
+        before = y.copy()
+        rates = rhs_1d(0.0, y, grid, as_wind(synthetic_wind(40.0, 9.0)), params_case3)
+        assert rates.shape == (4 * grid.Nx,)
+        assert np.array_equal(y, before)
 
     @pytest.mark.parametrize(
         "speed",
@@ -191,7 +200,7 @@ def difference_jacobian(y, grid, wind, params):
     Q_m, Q_M = params.Q_m, params.Q_M
 
     def f(z):
-        return rhs_1d(Field1D.unstack(z), 0.0, grid, wind, params).stack()
+        return rhs_1d(0.0, z, grid, wind, params)
 
     J = np.empty((y.size, y.size))
     for j in range(y.size):
@@ -221,7 +230,7 @@ class TestExactJacobian:
     def test_blocks_match_differences(self, case):
         params, v, grid, y = case
         wind = lambda t: (v, 0.0)  # noqa: E731
-        J = _jacobian_1d(y, 0.0, grid, wind, params, _band_layout(grid.Nx))
+        J = _jacobian_1d(0.0, y, grid, wind, params)
         assert J.format == "csc"
         J = J.toarray()
         reference = difference_jacobian(y, grid, wind, params)
@@ -240,8 +249,7 @@ class TestExactJacobian:
         monkeypatch.setattr(bloomsim.solver1d, "rhs_1d", forbidden)
         grid = build_grid(1000.0, 41)
         y = Field1D.bump(grid, P0=0.2).stack()
-        J = _jacobian_1d(y, 0.0, grid, as_wind(synthetic_wind(40.0, 9.0)), params_case3,
-                         _band_layout(grid.Nx))
+        J = _jacobian_1d(0.0, y, grid, as_wind(synthetic_wind(40.0, 9.0)), params_case3)
         assert J.nnz == _jac_sparsity(grid.Nx).nnz
 
     def test_windy_run_matches_difference_jacobian_path(self, params_case3):
@@ -254,9 +262,8 @@ class TestExactJacobian:
         traj = integrate_1d(f0, grid, wind, params_case3, 30.0, rtol=1e-8, atol=1e-10,
                             sample_times=times)
         oracle = solve_ivp(
-            lambda t, y: rhs_1d(Field1D.unstack(y), t, grid, wind, params_case3).stack(),
-            (0.0, 30.0), f0.stack(), method="BDF", rtol=1e-8, atol=1e-10, t_eval=times,
-            jac_sparsity=_jac_sparsity(grid.Nx),
+            rhs_1d, (0.0, 30.0), f0.stack(), method="BDF", rtol=1e-8, atol=1e-10, t_eval=times,
+            jac_sparsity=_jac_sparsity(grid.Nx), args=(grid, wind, params_case3),
         )
         got = np.array([f.stack() for f in traj.fields])
         assert traj.njev > 0
