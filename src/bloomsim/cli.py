@@ -84,6 +84,29 @@ def _reading(what: str):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def _integer(section: dict, key: str, default: int) -> int:
+    """``section[key]`` as an int; a ValueError, which :func:`_reading`
+    reports as a :class:`ConfigError`, unless the value is integral."""
+    value = section.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if number.is_integer():
+            return int(number)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _positive(section: dict, key: str, default: float) -> float:
+    """``section[key]`` as a float; a ValueError, which :func:`_reading`
+    reports as a :class:`ConfigError`, unless it is positive."""
+    value = float(section.get(key, default))
+    if not value > 0:
+        raise ValueError(f"{key} must be positive, got {value!r}")
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
@@ -191,9 +214,10 @@ def _run_ode(config, params, out_dir, seed, threads, base_dir):
     section = config.get("ode", {})
     with _reading("ode section"):
         initial = HomState(*[float(v) for v in section.get("initial", [5.0, 0.1, 0.15])])
-        t_end = float(section.get("t_end", 4000.0))
-        t_eval = np.linspace(0.0, t_end, int(section.get("samples", 401)))
-        rtol, atol = float(section.get("rtol", 1e-8)), float(section.get("atol", 1e-11))
+        initial.check_quota(params)
+        t_end = _positive(section, "t_end", 4000.0)
+        t_eval = np.linspace(0.0, t_end, _integer(section, "samples", 401))
+        rtol, atol = _positive(section, "rtol", 1e-8), _positive(section, "atol", 1e-11)
     traj = integrate_homogeneous(initial, params, t_end, rtol=rtol, atol=atol, t_eval=t_eval)
     rows = [
         (float(t), float(B), float(p), float(P), float(q))
@@ -217,7 +241,7 @@ def _run_stability(config, params, out_dir, seed, threads, base_dir):
     section = config.get("stability", {})
     which = section.get("equilibrium", "extinction")
     with _reading("stability section"):
-        n_max, wind_speed = int(section.get("n_max", 30)), float(section.get("wind_speed", 1.0))
+        n_max, wind_speed = _integer(section, "n_max", 30), float(section.get("wind_speed", 1.0))
     if which == "extinction":
         eq = extinction_state(params)
     elif which == "positive":
@@ -242,13 +266,13 @@ def _run_stability(config, params, out_dir, seed, threads, base_dir):
 def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
     section = config.get("sim1d", {})
     with _reading("sim1d section"):
-        grid = Grid1D(float(section.get("L", 1000.0)), int(section.get("Nx", 101)))
+        grid = Grid1D(float(section.get("L", 1000.0)), _integer(section, "Nx", 101))
         wind = _wind_from(section.get("wind"), base_dir)
         initial = _initial(Field1D, section.get("initial"), grid, params,
                            _SECTION_KEYS["initial_1d"], "sim1d.initial")
-        t_end = float(section.get("t_end", 365.0))
-        sample_times = np.linspace(0.0, t_end, int(section.get("samples", 25)))
-        rtol, atol = float(section.get("rtol", 1e-8)), float(section.get("atol", 1e-10))
+        t_end = _positive(section, "t_end", 365.0)
+        sample_times = np.linspace(0.0, t_end, _integer(section, "samples", 25))
+        rtol, atol = _positive(section, "rtol", 1e-8), _positive(section, "atol", 1e-10)
     traj = integrate_1d(initial, grid, wind, params, t_end, rtol=rtol, atol=atol,
                         sample_times=sample_times)
     sol_path = out_dir / "solution.csv"
@@ -283,8 +307,11 @@ def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
         initial = _initial(Field2D, section.get("initial"), mesh, params,
                            _SECTION_KEYS["initial_2d"], "sim2d.initial")
         t_end = float(section.get("t_end", 50.0))
-        output_times = section.get("output_times", list(np.linspace(0.0, t_end, 6)))
-        dt = float(section.get("dt", 0.5))
+        output_times = [float(t) for t in
+                        section.get("output_times", np.linspace(0.0, t_end, 6))]
+        if not (output_times and all(0.0 <= t <= t_end for t in output_times)):
+            raise ValueError(f"output_times must lie in [0, t_end = {t_end:g}]")
+        dt = _positive(section, "dt", 0.5)
     snaps = simulate_2d(initial, mesh, wind, params, dt, t_end, output_times)
     outputs = []
     manifest_rows = []
@@ -317,14 +344,14 @@ def _run_sobol(config, params, out_dir, seed, threads, base_dir):
             base_params=params,
             bounds=bounds,
             L=float(section.get("L", 1000.0)),
-            Nx=int(section.get("Nx", 41)),
+            Nx=_integer(section, "Nx", 41),
             horizon=float(section.get("horizon", 365.0)),
             bin_days=float(section.get("bin_days", 60.0)),
             sample_every=float(section.get("sample_every", 5.0)),
             wind=_wind_from(section.get("wind"), base_dir),
             **{k: float(v) for k, v in initial.items()},
         )
-        N = int(section.get("N", 256))
+        N = _integer(section, "N", 256)
     report = run_sensitivity(problem, N, seed, n_jobs=threads)
     report_path = out_dir / "sobol_indices.csv"
     write_report_csv(report, report_path)

@@ -14,12 +14,11 @@ called from any number of concurrent workers.
 The reaction terms have one implementation, the private array kernel
 ``_reaction_kernel``: the scalar :func:`reaction_rhs` and
 :func:`reaction_jacobian`, the 1D right-hand side and the 2D Newton step all
-call it.  It takes the inverse growth quota as an input, and each caller
-chooses it in one line:
-
-* homogeneous system and stability: B/p, or 1/q_hat where B <= EPS_B;
-* 1D transect: 1/clip(Q, Q_m, Q_M) from the evolved quota;
-* 2D lake: B/(p + EPS_P), regularized so that no branch is needed.
+call it.  The kernel also owns the growth quota: it clips the quota to the
+tube [Q_m, Q_M], and unless the caller evolves a quota of its own (the 1D
+transect passes its Q) it takes the cell quota p/B, or q_hat where
+B <= EPS_B.  A cell without internal phosphorus therefore stops growing
+and only decays, as in the paper's extinction regime.
 
 Nonlinear coefficients are evaluated at states clipped to >= 0 and the linear
 loss and exchange terms at the raw states.  Domain checks stay in the public
@@ -384,79 +383,76 @@ def _quota(B, p, params: ModelParams):
     return p / B if B > EPS_B else q_hat(params)
 
 
-def _homogeneous_q_inv(B: float, p: float, params: ModelParams) -> float:
-    # inverse growth quota of the homogeneous system: B/p, or 1/q_hat at
-    # extinction
-    quota = _quota(B, p, params)
-    if not quota > 0:
-        raise DomainError("B > 0 with p = 0: cell quota undefined below Q_m")
-    return 1.0 / quota
-
-
 class _Reactions(NamedTuple):
     rates: np.ndarray              # (3, n) rows dB, dp, dP
     jacobian: np.ndarray | None    # (3, 3, n) d(rates)/d(B, p, P), on request
     h: np.ndarray                  # growth_h at the clipped biomass
     uptake: np.ndarray             # rho_m/(Q_M - Q_m) P/(P + M), clipped P
+    quota: np.ndarray              # growth quota, clipped to [Q_m, Q_M]
     h_prime: np.ndarray | None     # d h/d B, with the clamp's slope, on request
     uptake_prime: np.ndarray | None  # d uptake/d P, with the clamp's slope, on request
+    growth_q: np.ndarray | None    # d(dB)/d(quota), with the clip's slope, on request
 
 
-def _reaction_kernel(
-    B, p, P, q_inv, params: ModelParams, jacobian: bool = False, fixed_quota: bool = False
-) -> _Reactions:
+def _reaction_kernel(B, p, P, params: ModelParams, jacobian: bool = False,
+                     quota=None) -> _Reactions:
     """The pointwise reaction terms, the only implementation of them.
 
-    Evaluates at nodewise arrays (or scalars) of B, p, P with the inverse
-    growth quota ``q_inv`` the caller chooses, so the growth factor is
-    ``1 - Q_m q_inv``.  Nonlinear coefficients see the states clipped to
-    >= 0, so slightly negative trial iterates cannot blow up; the linear
-    loss and exchange terms see the raw states, which keeps the uptake and
-    recycling cancellation between the p and P rows exact.
+    Evaluates at nodewise arrays (or scalars) of B, p, P.  Growth is
+    ``r (1 - Q_m/q) h B`` with q = clip(quota, Q_m, Q_M), and ``quota``
+    defaults to the cell quota :func:`_quota` (p/B, q_hat where
+    B <= EPS_B).  Nonlinear coefficients see the states clipped to >= 0, so
+    slightly negative trial iterates cannot blow up; the linear loss and
+    exchange terms see the raw states, which keeps the uptake and recycling
+    cancellation between the p and P rows exact.
 
-    The Jacobian takes the clamp's slope, one at zero and above and zero at
-    negative states.  It differentiates ``q_inv`` as B/(p + c) for a
-    constant c, exactly what the ODE and 2D quotas are; with
-    ``fixed_quota`` it holds ``q_inv`` fixed instead (the 1D quota depends
-    on Q alone), and the caller chains d(dB)/d(q_inv) = -r Q_m h max(B, 0)
-    through its own quota.  No domain checks: the public kernels hold them.
+    The Jacobian is exact: the clamps have slope one at zero and above, the
+    clip slope one on the closed tube, and the default quota is chained
+    through d(p/B)/d(B, p) where B > EPS_B.  ``growth_q`` is d(dB)/d(quota),
+    for a caller that passes its own quota.  No domain checks: the public
+    kernels hold them.
     """
     Bc = np.maximum(B, 0.0)
     pc = np.maximum(p, 0.0)
     Pc = np.maximum(P, 0.0)
+    cell_quota = quota is None
+    if cell_quota:
+        quota = _quota(B, p, params)
+    if isinstance(quota, np.ndarray):
+        q = np.clip(quota, params.Q_m, params.Q_M)
+    else:  # the homogeneous kernels: np.clip would cost ~4 us a call
+        q = min(max(quota, params.Q_m), params.Q_M)
+    q_inv = 1.0 / q
     loss = params.total_loss
     uptake = _rho_tilde(Pc, params)
     if jacobian:
         h, h_prime = _growth_h(Bc, params, derivative=True)
     else:
         h = _growth_h(Bc, params)
+    growth = params.r * (1.0 - params.Q_m * q_inv)
     eta = uptake * (params.Q_M * Bc - pc)
     rates = np.array(
         [
-            params.r * (1.0 - params.Q_m * q_inv) * h * Bc - loss * B,
+            growth * h * Bc - loss * B,
             eta - loss * p,
             params.exchange * (params.P_h - P) + params.P_in - eta + params.l * p,
         ]
     )
     if not jacobian:
-        return _Reactions(rates, None, h, uptake, None, None)
+        return _Reactions(rates, None, h, uptake, q, None, None, None)
 
     slope_B, slope_p, slope_P = B >= 0, p >= 0, P >= 0
     h_prime = h_prime * slope_B
     coefficient = params.rho_m / (params.Q_M - params.Q_m)
     saturation = (Pc + params.M) ** 2
     uptake_prime = coefficient * params.M / saturation * slope_P
-    growth = params.r * (1.0 - params.Q_m * q_inv)
-    if fixed_quota:
-        a11 = growth * h * slope_B + growth * h_prime * Bc - loss
-        a12 = np.zeros(Bc.shape)
-    else:
-        a11 = (
-            params.r * (1.0 - 2.0 * params.Q_m * q_inv) * h * slope_B
-            + growth * h_prime * Bc
-            - loss
-        )
-        a12 = params.r * params.Q_m * q_inv**2 * h * slope_B
+    in_tube = (quota >= params.Q_m) & (quota <= params.Q_M)
+    growth_q = params.r * params.Q_m * h * Bc * q_inv**2 * in_tube
+    # growth_q (r Q_m h B/q^2) times d(p/B)/d(B, p) = (-p/B, 1)/B where
+    # B > EPS_B; a quota the caller passes is constant in B and p
+    live = (B > EPS_B) if cell_quota else 0.0
+    a12 = params.r * params.Q_m * h * q_inv**2 * in_tube * live
+    a11 = growth * h * slope_B + growth * h_prime * Bc - loss - a12 * quota
     a21 = params.Q_M * uptake * slope_B
     a22 = uptake * slope_p
     a23 = coefficient * (params.Q_M * Bc - pc) * params.M / saturation * slope_P
@@ -467,40 +463,28 @@ def _reaction_kernel(
             [-a21, a22 + params.l, -params.exchange - a23],
         ]
     )
-    return _Reactions(rates, jac, h, uptake, h_prime, uptake_prime)
+    return _Reactions(rates, jac, h, uptake, q, h_prime, uptake_prime, growth_q)
 
 
 def reaction_rhs(state: HomState, params: ModelParams) -> np.ndarray:
     """Movement-free rates (dB/dt, dp/dt, dP/dt) at a homogeneous state.
 
-    The growth factor ``1 - Q_m B/p`` uses q_hat in place of p/B when B is
-    numerically zero; internal uptake and recycling cancel exactly between
-    the p and P equations, so ``dp + dP`` involves only the exchange and
-    source terms.
-
-    Raises
-    ------
-    DomainError
-        If B > 0 while p = 0 (the quota would sit below Q_m).
+    The growth factor ``1 - Q_m/q`` takes the cell quota q = p/B clipped to
+    [Q_m, Q_M], and q_hat when B is numerically zero, so a state with
+    B > 0 and p = 0 does not grow and decays at the loss rate.  Internal
+    uptake and recycling cancel exactly between the p and P equations, so
+    ``dp + dP`` involves only the exchange and source terms.
     """
-    B, p, P = state.B, state.p, state.P
-    return _reaction_kernel(B, p, P, _homogeneous_q_inv(B, p, params), params).rates
+    return _reaction_kernel(state.B, state.p, state.P, params).rates
 
 
-def reaction_jacobian(
-    B: float,
-    p: float,
-    P: float,
-    params: ModelParams,
-    quota_inv: float | None = None,
-) -> np.ndarray:
+def reaction_jacobian(B: float, p: float, P: float, params: ModelParams) -> np.ndarray:
     """3x3 Jacobian of :func:`reaction_rhs` with respect to (B, p, P).
 
-    ``quota_inv`` overrides the ratio B/p; it defaults to B/p, or 1/q_hat
-    at extinction states where the literal ratio is 0/0.  The (1,3) entry
-    is identically zero (growth does not see dissolved phosphorus) and the
-    (3,1) entry equals minus the (2,1) entry (uptake swaps pools).
+    Exact, with the quota clip's slope.  At an extinction state the quota
+    is the constant q_hat, so the (1,1) entry is (l + D/z_m)(R0 - 1).  The
+    (1,3) entry is identically zero (growth does not see dissolved
+    phosphorus) and the (3,1) entry equals minus the (2,1) entry (uptake
+    swaps pools).
     """
-    if quota_inv is None:
-        quota_inv = _homogeneous_q_inv(B, p, params)
-    return _reaction_kernel(B, p, P, quota_inv, params, jacobian=True).jacobian
+    return _reaction_kernel(B, p, P, params, jacobian=True).jacobian

@@ -207,12 +207,12 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
     transect wind is the east component of the supplied wind evaluator.
     The Laplacian and upwind differences of all four fields come from one
     pass over the stacked rows.  The B, p and P reaction terms come from
-    the shared reaction kernel with the inverse growth quota
-    1/clip(Q, Q_m, Q_M), so like the 2D solver they see states clipped to
+    the shared reaction kernel at the evolved quota Q, which the kernel
+    clips to [Q_m, Q_M], so like the 2D solver they see states clipped to
     >= 0 in their nonlinear coefficients; the Q row reuses the kernel's
-    h(B) and uptake coefficient.  With spatially constant fields
-    and still water the derivative reduces to the homogeneous reaction
-    rates at every node.
+    h(B), uptake coefficient and clipped quota.  With spatially constant
+    fields and still water the derivative reduces to the homogeneous
+    reaction rates at every node.
     """
     dx = grid.dx
     v = float(as_wind(wind)(t)[0])
@@ -224,16 +224,16 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
         - speeds * _upwind_gradient(backward, forward, speeds, dx)
     )
 
-    # clip the quota to its invariant tube so that integrator trial steps
-    # slightly outside it cannot divide by a vanishing Q
-    Qc = np.clip(Q, params.Q_m, params.Q_M)
-    react = _reaction_kernel(B, p, P, 1.0 / Qc, params)
+    # the kernel clips the quota to its invariant tube, so integrator trial
+    # steps slightly outside it cannot divide by a vanishing Q
+    react = _reaction_kernel(B, p, P, params, quota=Q)
     # uptake and recycling enter R_P and R_p through the areal forms eta and
     # l*p (equal to rho(Q,P)*B and l*Q*B when p = Q B); written this way they
     # cancel between the two rows identically, keeping the closed phosphorus
     # budget exact in the discretization
     dU[_KERNEL_ROWS] += react.rates
-    dU[1] += react.uptake * (params.Q_M - Qc) - params.r * (Q - params.Q_m) * react.h
+    dU[1] += (react.uptake * (params.Q_M - react.quota)
+              - params.r * (Q - params.Q_m) * react.h)
     return dU.reshape(-1)
 
 
@@ -278,8 +278,8 @@ def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParam
     Each upwind stencil is frozen at the current sign of its speed; the Q
     speed's dependence on B is differentiated, with the slope of
     max(B, EPS_B) taken as 1 above EPS_B and 0 at or below it.  Reaction
-    blocks come from the shared kernel at fixed quota, chained through
-    1/clip(Q, Q_m, Q_M) with the clip's slope 1 on the closed tube.
+    blocks and the growth row's d/dQ come from the shared kernel at the
+    evolved quota, with the clip's slope 1 on the closed tube.
     """
     Nx, dx = grid.Nx, grid.dx
     U = y.reshape(4, Nx)
@@ -303,18 +303,15 @@ def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParam
     band[1, 0] += weight * _three_point(-half, half)
     band[1, 0, 1] -= weight * central / guarded * (B > EPS_B)
 
-    # reactions: the kernel's (B, p, P) blocks at fixed quota, the growth
-    # row's d/dQ = (-r Q_m h max(B, 0)) * d(q_inv)/dQ with d(q_inv)/dQ =
-    # -q_inv^2 on the tube, and the Q row
-    Qc = np.clip(Q, params.Q_m, params.Q_M)
-    q_inv = 1.0 / Qc
+    # reactions: the kernel's (B, p, P) blocks at the evolved quota, the
+    # growth row's d/dQ, and the Q row
+    react = _reaction_kernel(B, p, P, params, jacobian=True, quota=Q)
     tube = (Q >= params.Q_m) & (Q <= params.Q_M)
-    react = _reaction_kernel(B, p, P, q_inv, params, jacobian=True, fixed_quota=True)
     band[_KERNEL_ROWS[:, None], _KERNEL_ROWS, 1] += react.jacobian
-    band[0, 1, 1] += params.r * params.Q_m * react.h * np.maximum(B, 0.0) * q_inv**2 * tube
+    band[0, 1, 1] += react.growth_q
     band[1, 1, 1] -= react.uptake * tube + params.r * react.h
     band[1, 0, 1] -= params.r * (Q - params.Q_m) * react.h_prime
-    band[1, 2, 1] += react.uptake_prime * (params.Q_M - Qc)
+    band[1, 2, 1] += react.uptake_prime * (params.Q_M - react.quota)
 
     pattern, source = _band_layout(Nx)
     return csc_matrix((band.reshape(-1)[source], pattern.indices, pattern.indptr),

@@ -88,8 +88,8 @@ def assemble_jacobian(
 ) -> np.ndarray:
     """Jacobian J(n) of the mode-n linearization around an equilibrium.
 
-    The reaction block matches the analytic entries (with the quota ratio
-    replaced by 1/q_hat at the extinction state); the movement terms
+    The reaction block is :func:`reaction_jacobian` (at the extinction
+    state its growth entry is (l + D/z_m)(R0 - 1)); the movement terms
     ``-n^2 diag(alpha, alpha, beta) - i n v diag(beta_B, beta_B, beta_P)``
     are folded into the diagonal.
 

@@ -191,7 +191,7 @@ def _check_quota_positivity(traj_or_snaps, params, label):
 
         q_ok, low = True, np.inf
         for f in traj_or_snaps.fields:
-            mask = f.B > QUOTA_B_FLOOR  # the ratio is regularization noise below
+            mask = f.B > QUOTA_B_FLOOR  # below it the ratio holds solver error
             if mask.any():
                 q = f.p[mask] / f.B[mask]
                 q_ok &= q.min() >= params.Q_m - 1e-6 and q.max() <= params.Q_M + 1e-6

@@ -117,6 +117,15 @@ class TestSubcommands:
         assert counters["nfev"] == len(calls) > 0
         assert 0 < counters["njev"] <= counters["nlu"]
 
+    def test_ode_subthreshold_config_runs_to_extinction(self, tmp_path):
+        out = tmp_path / "out"
+        config = CONFIGS_DIR / "ode_subthreshold.json"
+        assert main(["ode", "--config", str(config), "--out", str(out)]) == 0
+        header, row = (out / "final_state.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert values["B"] < 1e-9
+        assert values["R0"] < 1.0
+
     def test_sim1d_extinction_summary(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -283,13 +292,49 @@ class TestMain:
          "sim1d"),
         ("sobol", {"sobol": {"N": 2, "Nx": 11, "ranges": {"z_m": [5, 2]}}}, "sobol"),
         ("ode", {"ode": {"initial": [1, 2]}}, "ode"),
-    ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial"])
+        ("ode", {"ode": {"t_end": -5.0}}, "ode"),
+        ("ode", {"ode": {"t_end": 10.0, "rtol": 0.0}}, "ode"),
+        ("ode", {"ode": {"t_end": 10.0, "atol": -1e-12}}, "ode"),
+        ("ode", {"ode": {"initial": [1.0, 1.0, 0.1], "t_end": 10.0}}, "ode"),
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 0.0}}, "sim1d"),
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "rtol": -1e-8}}, "sim1d"),
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "atol": 0.0}}, "sim1d"),
+        ("sim2d", {"sim2d": {"t_end": 1.0, "dt": 0.0}}, "sim2d"),
+        ("sim2d", {"sim2d": {"t_end": 1.0, "output_times": [0.0, 2.0]}}, "sim2d"),
+    ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial",
+            "ode-t_end-sign", "ode-rtol", "ode-atol", "ode-initial-quota", "sim1d-t_end-sign",
+            "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
         path = write_config(tmp_path, {"params": CASE3, **body})
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),
                      "--seed", "1"])
         assert code == 2
         assert f"bad {section} section: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, section, key, value", [
+        ("sim1d", {"t_end": 1.0}, "Nx", 11.9),
+        ("sim1d", {"Nx": 11, "t_end": 1.0}, "samples", 2.5),
+        ("ode", {"t_end": 1.0}, "samples", "many"),
+        ("stability", {}, "n_max", 3.5),
+        ("sobol", {"Nx": 11}, "N", 2.5),
+        ("sobol", {"N": 2}, "Nx", 11.9),
+    ], ids=["sim1d-Nx", "sim1d-samples", "ode-samples", "n_max", "sobol-N", "sobol-Nx"])
+    def test_fractional_count_is_usage_error(self, tmp_path, capsys, subcommand, section,
+                                             key, value):
+        path = write_config(tmp_path, {"params": CASE3, subcommand: {**section, key: value}})
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad {subcommand} section: {key} must be an integer" in err
+
+    def test_integral_float_count_runs(self, tmp_path):
+        path = write_config(tmp_path, {"params": CASE3,
+                                       "sim1d": {"Nx": 11.0, "t_end": 1.0, "samples": 2.0}})
+        out = tmp_path / "out"
+        assert main(["sim1d", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "solution.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * 11  # header, then 2 samples of 11 nodes
 
     def test_env_seed_pickup(self, tmp_path, monkeypatch, capsys):
         path = write_config(

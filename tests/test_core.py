@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomsim.core import (
+    EPS_B,
     DomainError,
     HomState,
     _reaction_kernel,
@@ -28,7 +29,6 @@ from bloomsim.core import (
     uptake_eta,
     uptake_rho,
 )
-from bloomsim.solver2d import EPS_P
 
 # 40-digit oracle evaluations of the closed forms (section defaults)
 I_AT_5M_NO_BIOMASS = 66.93904804452894868
@@ -233,9 +233,11 @@ class TestReactionRhs:
         rates = reaction_rhs(HomState(16.2785, 0.1920, 0.0080), params_case3)
         assert np.all(np.abs(rates) < 1e-3)
 
-    def test_quota_undefined_error(self, params_case2):
-        with pytest.raises(DomainError):
-            reaction_rhs(HomState(1.0, 0.0, 0.1), params_case2)
+    def test_no_internal_phosphorus_decays_at_loss_rate(self, params_case2):
+        # the quota p/B = 0 clips to Q_m, where growth stops
+        p = params_case2
+        dB, _, _ = reaction_rhs(HomState(1.0, 0.0, 0.1), p)
+        assert dB == pytest.approx(-(p.l + p.D / p.z_m), rel=1e-14)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -271,7 +273,7 @@ class TestReactionRhs:
         B = rng.uniform(0.5, 20.0, size=8)
         Q = rng.uniform(p.Q_m, p.Q_M, size=8)
         P = rng.uniform(0.0, 2.0, size=8)
-        out = _reaction_kernel(B, Q * B, P, B / (Q * B), p, jacobian=True)
+        out = _reaction_kernel(B, Q * B, P, p, jacobian=True)
         assert out.rates.shape == (3, 8) and out.jacobian.shape == (3, 3, 8)
         for i in range(8):
             expected = reaction_rhs(HomState(B[i], Q[i] * B[i], P[i]), p)
@@ -279,27 +281,37 @@ class TestReactionRhs:
             expected = reaction_jacobian(B[i], Q[i] * B[i], P[i], p)
             assert np.allclose(out.jacobian[:, :, i], expected, rtol=1e-12)
 
-    def test_jacobian_arrays_match_finite_differences_with_2d_quota(
+    def test_jacobian_arrays_match_finite_differences_with_cell_quota(
         self, params_case3, rng
     ):
-        # the 2D Newton iteration differentiates q_inv = B/(p + EPS_P); the
-        # last nodes sit near extinction, where p is comparable to EPS_P
+        # the default quota p/B, clipped to the tube: nodes inside it, below
+        # Q_m and above Q_M, live nodes near extinction, and nodes below
+        # EPS_B where q_hat stands in; every quota keeps 20% from the clip's
+        # kinks, beyond the reach of the stencil
         p = params_case3
-        B = np.concatenate([rng.uniform(0.5, 30.0, 4), [1e-8, 4e-8]])
-        Q = rng.uniform(p.Q_m * 1.2, p.Q_M * 0.8, B.size)
-        y = np.array([B, Q * B, rng.uniform(0.01, 2.0, B.size)])
+        inside = rng.uniform(p.Q_m * 1.2, p.Q_M * 0.8, 4)
+        below = rng.uniform(0.0, p.Q_m * 0.8, 3)
+        above = rng.uniform(p.Q_M * 1.2, p.Q_M * 3.0, 3)
+        near = rng.uniform(p.Q_m * 1.2, p.Q_M * 0.8, 2)
+        Q = np.concatenate([inside, below, above, near, [0.02, 0.01]])
+        B = np.concatenate([rng.uniform(0.5, 30.0, 10), [1e-8, 4e-8], [EPS_B / 2, EPS_B / 4]])
+        # at the small-B nodes P = P_h, which zeroes the exchange term: its
+        # rounding would swamp a difference quotient over steps of ~1e-15
+        P = np.concatenate([rng.uniform(0.01, 2.0, 10), np.full(4, p.P_h)])
+        y = np.array([B, Q * B, P])
 
-        def kernel(y, jacobian=False):
-            return _reaction_kernel(*y, y[0] / (y[1] + EPS_P), p, jacobian)
-
-        J = kernel(y, jacobian=True).jacobian
+        J = _reaction_kernel(*y, p, jacobian=True).jacobian
         assert J.shape == (3, 3, B.size)
+        # growth sees p only through a quota inside the tube at a live node
+        assert np.all(J[0, 1, 4:10] == 0.0) and np.all(J[0, 1, 12:] == 0.0)
         for j in range(3):
             # nodes do not couple, so all of them are stepped at once; the
-            # step follows each state's scale, which for p includes EPS_P
+            # step follows each state's scale, which keeps the extinct nodes
+            # below EPS_B and every state away from the clamps at zero
             step = np.zeros_like(y)
-            step[j] = 1e-5 * (y[j] + EPS_P)
-            fd = (kernel(y + step).rates - kernel(y - step).rates) / (2.0 * step[j])
+            step[j] = 1e-5 * y[j]
+            fd = (_reaction_kernel(*(y + step), p).rates
+                  - _reaction_kernel(*(y - step), p).rates) / (2.0 * step[j])
             assert np.allclose(J[:, j], fd, rtol=1e-5, atol=1e-6)
 
 

@@ -90,6 +90,13 @@ class TestIntegrateHomogeneous:
         traj = integrate_homogeneous(start, params_case2, 4000.0, rtol=1e-10, atol=1e-13)
         assert traj.B[-1] < 1e-3
 
+    def test_subthreshold_config_runs_to_extinction(self, params_case2):
+        # configs/ode_subthreshold.json, at the default tolerances: on the way
+        # to extinction the internal pool empties while B > 0 remains, where
+        # growth stops at the quota floor Q_m; the trajectory is validated
+        traj = integrate_homogeneous(HomState(5.0, 0.1, 0.15), params_case2, 4000.0)
+        assert traj.B[-1] < 1e-9
+
     def test_quota_tube_and_positivity_along_trajectory(self, params_case3):
         start = HomState(0.5, 0.5 * params_case3.Q_m, 1.0)  # starved cells
         traj = integrate_homogeneous(start, params_case3, 500.0)

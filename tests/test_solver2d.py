@@ -14,11 +14,10 @@ from scipy.optimize import fsolve
 from scipy.sparse import bmat, diags
 from scipy.sparse.linalg import spsolve
 
-from bloomsim.core import HomState, _reaction_kernel, default_params, reaction_rhs
+from bloomsim.core import EPS_B, HomState, _reaction_kernel, default_params, reaction_rhs
 from bloomsim.mesh import refine_uniform, synthetic_lake_mesh, two_triangle_square
 from bloomsim.ode import integrate_homogeneous
 from bloomsim.solver2d import (
-    EPS_P,
     Field2D,
     NewtonError,
     Snapshots2D,
@@ -145,8 +144,7 @@ def full_newton_step(U_n, dt, t_next, mesh, wind, params, tol=1e-12, max_iter=25
     y = U_n.stack()
     for _ in range(max_iter):
         B, p, P = np.split(y, 3)
-        q_inv = np.maximum(B, 0.0) / (np.maximum(p, 0.0) + EPS_P)
-        react = _reaction_kernel(B, p, P, q_inv, params, True)
+        react = _reaction_kernel(B, p, P, params, True)
         rates, jac = react.rates, react.jacobian
         F = np.concatenate([m * (u - u0) + dt * (Li @ u - m * R)
                             for u, u0, Li, R in zip((B, p, P), old, L, rates)])
@@ -242,6 +240,21 @@ class TestSimulate:
         snaps = simulate_2d(U0, lake, None, params, dt=0.5, t_end=60.0,
                             output_times=[0.0, 60.0])
         assert snaps.fields[-1].B.max() < 0.25 * snaps.fields[0].B.max()
+
+    def test_bloom_dies_out_inside_the_quota_tube(self):
+        # without hypolimnion phosphorus a starved bloom stops growing at the
+        # quota floor Q_m and dies out, rather than stalling near B ~ 1e-8
+        # with p/B below Q_m
+        mesh = synthetic_lake_mesh()
+        params = default_params(r=1.0, P_h=0.0)
+        U0 = Field2D.bump(mesh, Q0=0.005, P0=0.005)
+        snaps = simulate_2d(U0, mesh, None, params, dt=2.0, t_end=750.0,
+                            output_times=np.arange(0.0, 751.0, 50.0))
+        assert snaps.fields[-1].B.max() < 1e-12
+        for f in snaps.fields:
+            live = f.B > EPS_B
+            q = f.p[live] / f.B[live]
+            assert np.all(q >= params.Q_m - 1e-6) and np.all(q <= params.Q_M + 1e-6)
 
     def test_year_long_outcomes_split_on_hypolimnion_phosphorus(self):
         from bloomsim.core import b_bar

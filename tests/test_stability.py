@@ -11,7 +11,7 @@ import csv
 import numpy as np
 import pytest
 
-from bloomsim.core import HomState, q_hat, reaction_jacobian
+from bloomsim.core import HomState, r0, reaction_jacobian
 from bloomsim.ode import find_equilibrium
 from bloomsim.stability import (
     ModeSpectrum,
@@ -38,9 +38,13 @@ def eq_positive_case3(params_case3):
 class TestAssembleJacobian:
     def test_n0_v0_equals_reaction_jacobian(self, params_case2, eq_extinction_case2):
         J = assemble_jacobian(eq_extinction_case2, 0, 0.0, params_case2)
-        A = reaction_jacobian(0.0, 0.0, params_case2.P_h, params_case2,
-                              quota_inv=1.0 / q_hat(params_case2))
+        A = reaction_jacobian(0.0, 0.0, params_case2.P_h, params_case2)
         assert np.allclose(J, A)
+        # the quota is q_hat, constant at extinction: growth minus loss is
+        # (l + D/z_m)(R0 - 1), and the p column of the growth row is zero
+        p = params_case2
+        assert J[0, 0].real == pytest.approx((p.l + p.D / p.z_m) * (r0(p) - 1.0), rel=1e-12)
+        assert J[0, 1] == 0.0
         assert np.all(J.imag == 0.0)
 
     def test_uptake_column_vanishes_at_extinction(self, params_case2, eq_extinction_case2):
