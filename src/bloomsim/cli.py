@@ -43,7 +43,7 @@ from .solver1d import Field1D, Grid1D, integrate_1d, write_trajectory_csv
 from .solver2d import Field2D, simulate_2d
 from .stability import mode_sweep, write_spectrum_csv
 from .vtkio import write_vtk
-from .wind import aggregate_daily, parse_wind_records, synthetic_wind
+from .wind import SyntheticWind, aggregate_daily, parse_wind_records
 
 __all__ = ["main", "run_config", "export_csv"]
 
@@ -147,7 +147,7 @@ def _wind_from(section: dict | None, base_dir: Path):
     if mode == "none":
         return None
     if mode == "synthetic":
-        return synthetic_wind(
+        return SyntheticWind(
             float(section.get("amplitude", 5.0)),
             float(section.get("period", 10.0)),
             float(section.get("phase", 0.0)),

@@ -60,7 +60,8 @@ _NEWTON_MAX_ITER = 60
 
 
 class IntegrationError(RuntimeError):
-    """Stiffness or step-size failure; carries the last good state."""
+    """Stiffness or step-size failure, or a sample that fails validation;
+    carries the time and state reached (the last good one on failure)."""
 
     def __init__(self, message: str, t: float, state: np.ndarray):
         super().__init__(f"{message} (t={t:g}, state={state})")
@@ -115,17 +116,28 @@ class HomTrajectory:
 
     def validate(self) -> None:
         """Check positivity (to 1e-10) and the quota tube (to 1e-6) at every
-        sample."""
-        if self.y.min() < -1e-10:
-            raise IntegrationError(
-                "negative state beyond tolerance", float(self.t[-1]), self.y[:, -1]
-            )
+        sample; the :class:`IntegrationError` names the first failing
+        sample's time and state."""
+        negative = (self.y < -1e-10).any(axis=0)
         q = self.quota()
-        lo, hi = self.params.Q_m - 1e-6, self.params.Q_M + 1e-6
-        if np.any(q < lo) or np.any(q > hi):
-            raise IntegrationError(
-                "cell quota left [Q_m, Q_M] tube", float(self.t[-1]), self.y[:, -1]
-            )
+        outside = (q < self.params.Q_m - 1e-6) | (q > self.params.Q_M + 1e-6)
+        failed = np.flatnonzero(negative | outside)
+        if failed.size:
+            i = failed[0]
+            message = ("negative state beyond tolerance" if negative[i]
+                       else "cell quota left [Q_m, Q_M] tube")
+            raise IntegrationError(message, float(self.t[i]), self.y[:, i])
+
+
+def _validate_samples(times, fields, params: ModelParams) -> None:
+    """``validate(params)`` of each sampled field (a ``Field1D`` or
+    ``Field2D``); the first failure is raised as an :class:`IntegrationError`
+    with that sample's time and flat state."""
+    for t, f in zip(times, fields):
+        try:
+            f.validate(params)
+        except ValueError as exc:
+            raise IntegrationError(str(exc), float(t), f.stack()) from exc
 
 
 def _rhs_flat(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -34,7 +34,7 @@ from scipy.sparse import csc_matrix, diags, kron
 
 from ._textio import write_rows
 from .core import EPS_B, ModelParams, _reaction_kernel
-from .ode import _solve_bdf
+from .ode import _solve_bdf, _validate_samples
 from .wind import as_wind
 
 __all__ = [
@@ -203,8 +203,9 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
     ``y`` holds the (4 Nx,) nodal values in :meth:`Field1D.stack` order
     (B, Q, P, p) and the result has the same layout; the argument order is
     that of ``solve_ivp(rhs_1d, ..., args=(grid, wind, params))``.  The
-    rows are read as views of ``y``, which is left unchanged.  The scalar
-    transect wind is the east component of the supplied wind evaluator.
+    rows are read as views of ``y``, which is left unchanged.  ``wind`` is
+    a ``t -> (u, v)`` evaluator in m/day (:func:`~bloomsim.wind.as_wind`
+    makes one); the scalar transect wind is its east component.
     The Laplacian and upwind differences of all four fields come from one
     pass over the stacked rows.  The B, p and P reaction terms come from
     the shared reaction kernel at the evolved quota Q, which the kernel
@@ -215,7 +216,7 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
     reaction rates at every node.
     """
     dx = grid.dx
-    v = float(as_wind(wind)(t)[0])
+    v = float(wind(t)[0])
     U = y.reshape(4, grid.Nx)
     B, Q, P, p = U
     backward, forward, speeds, _, _ = _transport(U, v, dx, params)
@@ -284,7 +285,7 @@ def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParam
     Nx, dx = grid.Nx, grid.dx
     U = y.reshape(4, Nx)
     B, Q, P, p = U
-    v = float(as_wind(wind)(t)[0])
+    v = float(wind(t)[0])
     backward, forward, speeds, central, guarded = _transport(U, v, dx, params)
     band = np.zeros((4, 4, 3, Nx))
 
@@ -340,8 +341,10 @@ class Trajectory1D:
         return np.stack([getattr(f, name) for f in self.fields])
 
     def validate(self) -> None:
-        for f in self.fields:
-            f.validate(self.params)
+        """:meth:`Field1D.validate` at every sample; the first failure is
+        raised as an :class:`~bloomsim.ode.IntegrationError` with that
+        sample's time and flat state."""
+        _validate_samples(self.times, self.fields, self.params)
 
 
 def integrate_1d(
@@ -365,7 +368,8 @@ def integrate_1d(
         If ``t_end``, ``rtol`` or ``atol`` is not positive (NaN included),
         or the initial field does not match the grid.
     IntegrationError
-        On stiffness failure, carrying the last reached state.
+        On stiffness failure, carrying the last reached state, or when
+        ``validate`` is set and a sample fails :meth:`Field1D.validate`.
     """
     if initial.B.size != grid.Nx:
         raise ValueError("initial field does not match the grid")

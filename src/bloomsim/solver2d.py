@@ -37,6 +37,7 @@ from scipy.sparse.linalg import splu
 
 from .core import ModelParams, _quota, _reaction_kernel
 from .mesh import TriMesh
+from .ode import _validate_samples
 from .wind import as_wind
 
 __all__ = [
@@ -353,8 +354,10 @@ class Snapshots2D:
     half_step_retries: int = 0
 
     def validate(self) -> None:
-        for f in self.fields:
-            f.validate(self.params)
+        """:meth:`Field2D.validate` at every sample; the first failure is
+        raised as an :class:`~bloomsim.ode.IntegrationError` with that
+        sample's time and flat state."""
+        _validate_samples(self.times, self.fields, self.params)
 
 
 def simulate_2d(

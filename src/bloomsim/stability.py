@@ -118,8 +118,11 @@ def eigen_3x3(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
 
     Returns (eigenvalues, eigenvectors, defective_warning).  Eigenvectors are
     unit-norm columns; each pair is verified to satisfy ``|J v - mu v| <
-    1e-10 |J|``.  Near-coincident eigenvalues set the warning flag
-    (the perturbation formula assumes simple eigenvalues) instead of raising.
+    1e-10 |J|``.  An ill-conditioned eigenvector matrix (condition number
+    above 1e8) sets the warning flag instead of raising: the matrix is then
+    nearly defective, and the first-order perturbation formula, which
+    solves with that matrix, may be inaccurate.  A repeated eigenvalue with
+    independent eigenvectors does not set it.
     """
     J = np.asarray(matrix, dtype=complex)
     if J.shape != (3, 3) or not np.all(np.isfinite(J.view(float))):
@@ -136,8 +139,7 @@ def eigen_3x3(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         if res > 1e-10 * max(norm_J, 1e-300):
             raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance")
 
-    gaps = [abs(values[i] - values[j]) for i in range(3) for j in range(i + 1, 3)]
-    defective = min(gaps) < 1e-8 * max(norm_J, 1.0)
+    defective = bool(np.linalg.cond(vectors) > 1e8)
     if defective:
         warnings.warn(
             "near-defective matrix: first-order perturbation may be inaccurate",

@@ -3,15 +3,16 @@
 Measured wind arrives as hourly CSV records ``timestamp,u_mps,v_mps`` with
 ISO-8601 timestamps (or plain fractional day numbers).  The processing chain
 is: parse and sort, aggregate to daily means, then evaluate anywhere in time
-through an Akima spline with the speed capped at 5 m/s and the result
-converted from m/s to m/day for the advection terms.  A synthetic
-oscillatory wind with the same evaluation interface is provided for
-idealized runs.
+with :meth:`WindSeries.at`.  Each series builds one Akima spline through both
+components when it is made; evaluation caps the speed at 5 m/s and converts
+the result from m/s to m/day for the advection terms.  A synthetic
+oscillatory wind with the same ``at`` interface is provided for idealized
+runs, and :func:`as_wind` turns any wind argument into the ``t -> (u, v)``
+evaluator that the solvers call.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,8 +28,6 @@ __all__ = [
     "SyntheticWind",
     "parse_wind_records",
     "aggregate_daily",
-    "wind_at",
-    "synthetic_wind",
     "as_wind",
 ]
 
@@ -45,14 +44,15 @@ class WindSeries:
     """Timestamped horizontal wind components in m/s.
 
     ``times`` are days since the start of the series' first calendar day,
-    strictly increasing.  Evaluation outside the span clamps to the
-    endpoints.
+    strictly increasing.  The interpolant of both components is built here,
+    once: an Akima spline for 3 or more records; one or two records are
+    held constant or joined by a straight line in :meth:`at`.
     """
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _spline: Akima1DInterpolator | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -69,38 +69,36 @@ class WindSeries:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        spline = Akima1DInterpolator(times, np.column_stack([u, v])) if times.size >= 3 else None
+        object.__setattr__(self, "_spline", spline)
 
     def __len__(self) -> int:
         return self.times.size
-
-    def __getstate__(self):
-        # interpolators are rebuilt lazily; keep workers' pickles lean
-        return {"times": self.times, "u": self.u, "v": self.v}
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "times", state["times"])
-        object.__setattr__(self, "u", state["u"])
-        object.__setattr__(self, "v", state["v"])
-        object.__setattr__(self, "_cache", {})
 
     @property
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    def _interpolators(self):
-        if "interp" not in self._cache:
-            if self.times.size >= 3:
-                iu = Akima1DInterpolator(self.times, self.u)
-                iv = Akima1DInterpolator(self.times, self.v)
-            else:  # one or two knots: constant or straight line
-                iu = lambda t: np.interp(t, self.times, self.u)  # noqa: E731
-                iv = lambda t: np.interp(t, self.times, self.v)  # noqa: E731
-            self._cache["interp"] = (iu, iv)
-        return self._cache["interp"]
-
     def at(self, t) -> tuple:
-        """Evaluated wind at day ``t`` in m/day; see :func:`wind_at`."""
-        return wind_at(self, t)
+        """Interpolated wind at day ``t``, in m/day.
+
+        ``t`` is clamped to the series span; the speed is capped at
+        :data:`SPEED_CAP_MPS` with the direction preserved, then scaled by
+        :data:`MPS_TO_MPD`.  A scalar ``t`` gives two floats, an array two
+        arrays of its shape.
+        """
+        t = np.clip(np.asarray(t, dtype=float), *self.span)
+        if self._spline is None:
+            u, v = np.interp(t, self.times, self.u), np.interp(t, self.times, self.v)
+        else:
+            uv = self._spline(t)
+            u, v = uv[..., 0], uv[..., 1]
+        factor = SPEED_CAP_MPS / np.maximum(np.hypot(u, v), SPEED_CAP_MPS)
+        u = u * factor * MPS_TO_MPD
+        v = v * factor * MPS_TO_MPD
+        if u.ndim == 0:
+            return float(u), float(v)
+        return u, v
 
 
 def _parse_time(token: str, line_no: int) -> tuple[float, datetime | None]:
@@ -129,11 +127,7 @@ def parse_wind_records(source) -> WindSeries:
     ValueError
         On a malformed row (with its line number) or fewer than 2 records.
     """
-    if isinstance(source, (str, bytes)):
-        stream = io.StringIO(source if isinstance(source, str) else source.decode())
-    else:
-        stream = source
-    header = stream.readline()
+    header = source.readline()
     if not header or "timestamp" not in header.lower():
         raise ValueError("missing header row (expected: timestamp,u_mps,v_mps)")
 
@@ -141,7 +135,7 @@ def parse_wind_records(source) -> WindSeries:
     stamps: list[datetime | None] = []
     us: list[float] = []
     vs: list[float] = []
-    for line_no, raw in enumerate(stream, start=2):
+    for line_no, raw in enumerate(source, start=2):
         line = raw.strip()
         if not line:
             continue
@@ -198,26 +192,6 @@ def aggregate_daily(series: WindSeries) -> WindSeries:
     return WindSeries(np.array(out_t), np.array(out_u), np.array(out_v))
 
 
-def wind_at(series: WindSeries, t) -> tuple:
-    """Smoothly interpolated wind at day ``t``, in m/day.
-
-    Akima interpolation of the stored m/s components, evaluated with ``t``
-    clamped to the series span, speed capped at 5 m/s (direction preserved),
-    then scaled by :data:`MPS_TO_MPD`.
-    """
-    iu, iv = series._interpolators()
-    t = np.clip(np.asarray(t, dtype=float), *series.span)
-    u = np.asarray(iu(t), dtype=float)
-    v = np.asarray(iv(t), dtype=float)
-    speed = np.hypot(u, v)
-    factor = np.where(speed > SPEED_CAP_MPS, SPEED_CAP_MPS / np.where(speed > 0, speed, 1.0), 1.0)
-    u = u * factor * MPS_TO_MPD
-    v = v * factor * MPS_TO_MPD
-    if u.ndim == 0:
-        return float(u), float(v)
-    return u, v
-
-
 @dataclass(frozen=True)
 class SyntheticWind:
     """Oscillatory wind ``amplitude * (sin, cos)(2 pi t / period + phase)``.
@@ -241,11 +215,6 @@ class SyntheticWind:
         if u.ndim == 0:
             return float(u), float(v)
         return u, v
-
-
-def synthetic_wind(amplitude: float, period: float, phase: float = 0.0) -> SyntheticWind:
-    """An evaluable oscillatory wind (see :class:`SyntheticWind`)."""
-    return SyntheticWind(amplitude, period, phase)
 
 
 def as_wind(wind):

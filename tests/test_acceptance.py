@@ -228,10 +228,10 @@ def test_criterion_6_conservation_2d():
 def test_criterion_7_quota_tube_and_positivity_flagship_runs():
     # a dedicated pass over a windy 1D run and a 2D run, beyond the checks
     # attached to the other criteria
-    from bloomsim.wind import synthetic_wind
+    from bloomsim.wind import SyntheticWind
 
     grid = build_grid(1000.0, 101)
-    traj = integrate_1d(Field1D.bump(grid, P0=0.2), grid, synthetic_wind(40.0, 9.0),
+    traj = integrate_1d(Field1D.bump(grid, P0=0.2), grid, SyntheticWind(40.0, 9.0),
                         CASE3, 60.0, rtol=1e-8, atol=1e-11,
                         sample_times=np.linspace(0.0, 60.0, 13))
     _check_quota_positivity(traj, CASE3, "windy 1D")

@@ -14,6 +14,8 @@ from scipy.stats import qmc
 import bloomsim.ode
 from bloomsim.core import DomainError, HomState, b_bar, default_params, r0, reaction_rhs
 from bloomsim.ode import (
+    HomTrajectory,
+    IntegrationError,
     _equilibrium_biomass,
     _equilibrium_quota,
     extinction_state,
@@ -132,6 +134,15 @@ class TestIntegrateHomogeneous:
     def test_nan_arguments_rejected(self, params_case2, t_end, tolerances):
         with pytest.raises(ValueError, match="must be positive"):
             integrate_homogeneous(HomState(1.0, 0.02, 0.1), params_case2, t_end, **tolerances)
+
+    def test_validate_reports_first_failing_sample(self, params_case3):
+        t = np.arange(11.0)
+        y = np.tile([[2.0], [0.04], [0.1]], t.size)
+        y[1, 3] = -1e-6
+        with pytest.raises(IntegrationError, match="negative state") as info:
+            HomTrajectory(t, y, params_case3).validate()
+        assert info.value.t == 3.0
+        assert np.array_equal(info.value.state, y[:, 3])
 
 
 class TestFindEquilibrium:

@@ -31,7 +31,7 @@ from bloomsim.solver1d import (
     rhs_1d,
     write_trajectory_csv,
 )
-from bloomsim.wind import as_wind, synthetic_wind
+from bloomsim.wind import SyntheticWind, as_wind
 
 
 class TestGrid:
@@ -58,7 +58,7 @@ class TestRhs:
         grid = build_grid(1000.0, 41)
         B0, Q0, P0 = 4.0, 0.02, 0.3
         f = Field1D.uniform(grid, B0, Q0, P0)
-        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, None, params_case3))
+        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, as_wind(None), params_case3))
         oracle = reaction_rhs(HomState(B0, Q0 * B0, P0), params_case3)
         assert np.allclose(rates.B, oracle[0], rtol=1e-12, atol=1e-14)
         assert np.allclose(rates.p, oracle[1], rtol=1e-12, atol=1e-14)
@@ -72,7 +72,7 @@ class TestRhs:
             np.full(21, params_case2.P_h),
             np.zeros(21),
         )
-        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, None, params_case2))
+        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, as_wind(None), params_case2))
         assert np.allclose(rates.P, 0.0, atol=1e-15)
         assert np.allclose(rates.B, 0.0, atol=1e-15)
 
@@ -87,7 +87,7 @@ class TestRhs:
         # the ramp has constant slope, so upwind/downwind differences match
         # except at the boundary nodes where the ghost copy zeroes one side
         assert np.allclose(plus.B[1:-1] + minus.B[1:-1], 2 * Field1D.unstack(rhs_1d(
-            0.0, y, grid, None, params_case3)).B[1:-1], rtol=1e-12)
+            0.0, y, grid, as_wind(None), params_case3)).B[1:-1], rtol=1e-12)
         assert plus.B[0] != minus.B[0]
 
     def test_flat_state_in_and_out_input_unchanged(self, params_case3):
@@ -95,7 +95,7 @@ class TestRhs:
         grid = build_grid(100.0, 11)
         y = Field1D.bump(grid, P0=0.2).stack()
         before = y.copy()
-        rates = rhs_1d(0.0, y, grid, as_wind(synthetic_wind(40.0, 9.0)), params_case3)
+        rates = rhs_1d(0.0, y, grid, as_wind(SyntheticWind(40.0, 9.0)), params_case3)
         assert rates.shape == (4 * grid.Nx,)
         assert np.array_equal(y, before)
 
@@ -249,7 +249,7 @@ class TestExactJacobian:
         monkeypatch.setattr(bloomsim.solver1d, "rhs_1d", forbidden)
         grid = build_grid(1000.0, 41)
         y = Field1D.bump(grid, P0=0.2).stack()
-        J = _jacobian_1d(0.0, y, grid, as_wind(synthetic_wind(40.0, 9.0)), params_case3)
+        J = _jacobian_1d(0.0, y, grid, as_wind(SyntheticWind(40.0, 9.0)), params_case3)
         assert J.nnz == _jac_sparsity(grid.Nx).nnz
 
     def test_windy_run_matches_difference_jacobian_path(self, params_case3):
@@ -257,7 +257,7 @@ class TestExactJacobian:
         # only the sparsity pattern
         grid = build_grid(1000.0, 41)
         f0 = Field1D.bump(grid, P0=0.2)
-        wind = as_wind(synthetic_wind(40.0, 9.0))
+        wind = as_wind(SyntheticWind(40.0, 9.0))
         times = np.linspace(0.0, 30.0, 7)
         traj = integrate_1d(f0, grid, wind, params_case3, 30.0, rtol=1e-8, atol=1e-10,
                             sample_times=times)
@@ -354,7 +354,7 @@ class TestIntegrate:
     def test_quota_tube_and_positivity_with_wind(self, params_case3):
         grid = build_grid(1000.0, 81)
         f0 = Field1D.bump(grid, P0=0.2)
-        wind = synthetic_wind(40.0, 9.0)  # m/day amplitude
+        wind = SyntheticWind(40.0, 9.0)  # m/day amplitude
         traj = integrate_1d(f0, grid, wind, params_case3, 60.0,
                             rtol=1e-8, atol=1e-11,
                             sample_times=np.linspace(0, 60, 13))
@@ -421,6 +421,17 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_1d(Field1D.bump(build_grid(500.0, 11), P0=0.2), grid,
                          None, params_case3, 10.0)
+
+    def test_validate_reports_failing_sample(self, params_case3):
+        grid = build_grid(100.0, 5)
+        good = Field1D.uniform(grid, 2.0, 0.02, 0.2)
+        bad = Field1D.uniform(grid, 2.0, 0.02, 0.2)
+        bad.P[2] = -1e-6
+        traj = Trajectory1D(np.array([0.0, 1.5, 3.0]), [good, bad, good], grid, params_case3)
+        with pytest.raises(IntegrationError, match="negative state") as info:
+            traj.validate()
+        assert info.value.t == 1.5
+        assert np.array_equal(info.value.state, bad.stack())
 
     def test_integrator_failure_carries_diagnostics(self, params_case3):
         grid = build_grid(500.0, 11)

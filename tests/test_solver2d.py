@@ -16,7 +16,7 @@ from scipy.sparse.linalg import spsolve
 
 from bloomsim.core import EPS_B, HomState, _reaction_kernel, default_params, reaction_rhs
 from bloomsim.mesh import refine_uniform, synthetic_lake_mesh, two_triangle_square
-from bloomsim.ode import integrate_homogeneous
+from bloomsim.ode import IntegrationError, integrate_homogeneous
 from bloomsim.solver2d import (
     Field2D,
     NewtonError,
@@ -26,7 +26,7 @@ from bloomsim.solver2d import (
     newton_be_step,
     simulate_2d,
 )
-from bloomsim.wind import synthetic_wind
+from bloomsim.wind import SyntheticWind
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ class TestSimplifiedNewton:
     def windy_run(self):
         mesh = synthetic_lake_mesh()
         params = default_params(r=1.0, P_h=0.2)
-        wind = synthetic_wind(20.0, 9.0)
+        wind = SyntheticWind(20.0, 9.0)
         U0 = Field2D.bump(mesh, P0=0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # Peclet warning
@@ -219,11 +219,9 @@ class TestSimulate:
         assert drift < 1e-6
 
     def test_quota_tube_and_positivity(self, lake, params_case3):
-        from bloomsim.wind import synthetic_wind
-
         U0 = Field2D.bump(lake, P0=0.2)
         with pytest.warns(RuntimeWarning, match="Peclet"):  # expected under wind
-            snaps = simulate_2d(U0, lake, synthetic_wind(30.0, 7.0), params_case3,
+            snaps = simulate_2d(U0, lake, SyntheticWind(30.0, 7.0), params_case3,
                                 dt=0.5, t_end=30.0, output_times=[0.0, 10.0, 30.0])
         from bloomsim.solver2d import QUOTA_B_FLOOR
 
@@ -308,6 +306,16 @@ class TestSimulate:
                                 output_times=[0.0, 2.0])
         assert isinstance(snaps, Snapshots2D)
         snaps.validate()
+
+    def test_validate_reports_failing_sample(self, lake, params_case3):
+        good = Field2D.uniform(lake, 1.0, 0.02, 0.2)
+        bad = Field2D.uniform(lake, 1.0, 0.02, 0.2)
+        bad.p[4] = 0.5  # quota 0.5 is above Q_M
+        snaps = Snapshots2D(np.array([0.0, 2.0, 4.0]), [good, good, bad], lake, params_case3)
+        with pytest.raises(IntegrationError, match="quota left") as info:
+            snaps.validate()
+        assert info.value.t == 4.0
+        assert np.array_equal(info.value.state, bad.stack())
 
     def test_output_times_validated(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.2)

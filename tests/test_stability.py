@@ -7,6 +7,7 @@ while the positive equilibrium is stable for every swept mode.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,16 @@ class TestEigen3x3:
             _, _, warn = eigen_3x3(J)
         assert warn
 
+    def test_repeated_semisimple_eigenvalue_does_not_warn(self):
+        # a double eigenvalue with two independent eigenvectors leaves the
+        # eigenvector matrix well conditioned
+        J = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, _, warn = eigen_3x3(J)
+        assert not warn
+        assert np.allclose(np.sort(values.real), [2.0, 2.0, 3.0])
+
     def test_rejects_nonfinite(self):
         J = np.full((3, 3), np.nan)
         with pytest.raises(ValueError):
@@ -202,6 +213,16 @@ class TestModeSweep:
         spectra, verdict = mode_sweep(eq, 30, 1.0, params_case1)
         assert verdict == "stable"
         assert len(spectra) == 31
+
+    def test_extinction_without_hypolimnion_phosphorus_sweeps_silently(self, params_case1):
+        # at P_h = 0 the reaction Jacobian has the semisimple double
+        # eigenvalue -(l + D/z_m): diagonalizable, so no near-defective warning
+        eq = HomState(0.0, 0.0, params_case1.P_h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectra, verdict = mode_sweep(eq, 30, 1.0, params_case1)
+        assert verdict == "stable"
+        assert not any(s.defective_warning for s in spectra)
 
     def test_case3_extinction_unstable_for_low_modes(self, params_case2, params_case3):
         eq = HomState(0.0, 0.0, params_case3.P_h)

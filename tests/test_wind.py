@@ -1,9 +1,12 @@
 """Wind parsing, daily aggregation, interpolation, and clamping."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
+
+from scipy.interpolate import Akima1DInterpolator
 
 from bloomsim.wind import (
     MPS_TO_MPD,
@@ -13,8 +16,6 @@ from bloomsim.wind import (
     aggregate_daily,
     as_wind,
     parse_wind_records,
-    synthetic_wind,
-    wind_at,
 )
 
 
@@ -79,7 +80,7 @@ class TestAggregateDaily:
         daily = aggregate_daily(series)
         assert len(daily) == 1
         assert daily.u[0] == 3.0 and daily.v[0] == -1.0
-        u, v = wind_at(daily, 0.5)
+        u, v = daily.at(0.5)
         assert (u, v) == (3.0 * MPS_TO_MPD, -1.0 * MPS_TO_MPD)
 
     def test_alternating_components_average_to_zero(self):
@@ -109,7 +110,7 @@ class TestAggregateDaily:
         u = np.sin(hours * 5.0)
         daily = aggregate_daily(WindSeries(hours, u, np.zeros(96)))
         for t, mean_u in zip(daily.times, daily.u):
-            got_u, _ = wind_at(daily, t)
+            got_u, _ = daily.at(t)
             assert got_u == pytest.approx(mean_u * MPS_TO_MPD, rel=1e-12, abs=1e-9)
 
 
@@ -121,7 +122,7 @@ class TestWindAt:
             np.array([0.0, -1.0, 0.5, 0.0]),
         )
         for i in range(4):
-            u, v = wind_at(series, series.times[i])
+            u, v = series.at(series.times[i])
             assert u == pytest.approx(series.u[i] * MPS_TO_MPD)
             assert v == pytest.approx(series.v[i] * MPS_TO_MPD)
 
@@ -129,7 +130,7 @@ class TestWindAt:
         t = np.arange(6.0)
         series = WindSeries(t, 0.3 * t + 1.0, -0.2 * t + 2.0)
         mid = t[:-1] + 0.5
-        u, v = wind_at(series, mid)
+        u, v = series.at(mid)
         assert np.allclose(u, (0.3 * mid + 1.0) * MPS_TO_MPD, rtol=1e-12)
         assert np.allclose(v, (-0.2 * mid + 2.0) * MPS_TO_MPD, rtol=1e-12)
 
@@ -139,7 +140,7 @@ class TestWindAt:
             np.array([0.0, 12.0 * 0.6, 0.0]),
             np.array([0.0, 12.0 * 0.8, 0.0]),
         )
-        u, v = wind_at(series, 1.0)  # knot speed 12 m/s
+        u, v = series.at(1.0)  # knot speed 12 m/s
         speed = np.hypot(u, v)
         assert speed == pytest.approx(SPEED_CAP_MPS * MPS_TO_MPD)
         assert v / u == pytest.approx(0.8 / 0.6)
@@ -148,36 +149,76 @@ class TestWindAt:
         rng = np.random.default_rng(7)
         series = WindSeries(np.arange(20.0), rng.normal(0, 6, 20), rng.normal(0, 6, 20))
         t = np.linspace(0.0, 19.0, 4001)
-        u, v = wind_at(series, t)
+        u, v = series.at(t)
         assert np.max(np.hypot(u, v)) <= SPEED_CAP_MPS * MPS_TO_MPD * (1 + 1e-12)
 
     def test_continuity(self):
         rng = np.random.default_rng(11)
         series = WindSeries(np.arange(10.0), rng.normal(0, 2, 10), rng.normal(0, 2, 10))
         t = np.linspace(0.0, 9.0, 20001)
-        u, _ = wind_at(series, t)
+        u, _ = series.at(t)
         jumps = np.abs(np.diff(u))
         assert jumps.max() < 0.05 * MPS_TO_MPD  # no discontinuities at this resolution
 
     def test_clamped_to_span_outside(self):
         series = WindSeries(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.zeros(2))
-        assert wind_at(series, -5.0) == wind_at(series, 1.0)
-        assert wind_at(series, 99.0) == wind_at(series, 2.0)
+        assert series.at(-5.0) == series.at(1.0)
+        assert series.at(99.0) == series.at(2.0)
+
+    def test_matches_per_component_akima_with_where_cap(self):
+        # reference: one Akima spline per component and the two-np.where cap
+        # that the single two-column spline replaced, bitwise
+        series = WindSeries(
+            np.arange(8.0),
+            np.array([1.0, 3.0, -6.0, 0.5, 2.0, 9.0, -1.0, 0.0]),
+            np.array([2.0, 4.0, 8.0, -0.5, 1.0, 12.0, 1.5, 0.0]),
+        )
+        t = np.concatenate([series.times, np.linspace(-1.0, 8.0, 2001)])
+        clamped = np.clip(t, *series.span)
+        u = Akima1DInterpolator(series.times, series.u)(clamped)
+        v = Akima1DInterpolator(series.times, series.v)(clamped)
+        speed = np.hypot(u, v)
+        assert (speed < SPEED_CAP_MPS).any() and (speed > SPEED_CAP_MPS).any()
+        assert (speed == SPEED_CAP_MPS).any()  # the (3, 4) knot
+        factor = np.where(speed > SPEED_CAP_MPS,
+                          SPEED_CAP_MPS / np.where(speed > 0, speed, 1.0), 1.0)
+        got_u, got_v = series.at(t)
+        assert np.array_equal(got_u, u * factor * MPS_TO_MPD)
+        assert np.array_equal(got_v, v * factor * MPS_TO_MPD)
+        assert series.at(t[1]) == (got_u[1], got_v[1])
+
+    def test_two_records_are_the_straight_line(self):
+        series = WindSeries(np.array([1.0, 3.0]), np.array([1.0, -2.0]), np.array([0.5, 2.0]))
+        t = np.linspace(1.0, 3.0, 101)
+        u, v = series.at(t)
+        assert np.array_equal(u, np.interp(t, series.times, series.u) * MPS_TO_MPD)
+        assert np.array_equal(v, np.interp(t, series.times, series.v) * MPS_TO_MPD)
+
+    @pytest.mark.parametrize("n", [1, 2, 745])
+    def test_pickle_round_trip_evaluates_bitwise(self, n):
+        # the Sobol worker pool ships the wind to each process by pickle
+        rng = np.random.default_rng(n)
+        series = WindSeries(np.arange(n) / 24.0, rng.normal(0, 4, n), rng.normal(0, 4, n))
+        clone = pickle.loads(pickle.dumps(series))
+        t = np.linspace(-1.0, n / 24.0 + 1.0, 997)
+        for got, expected in zip(clone.at(t), series.at(t)):
+            assert np.array_equal(got, expected)
+        assert clone.at(0.3) == series.at(0.3)
 
 
 class TestSyntheticWind:
     def test_phase_zero_starts_northward(self):
-        w = synthetic_wind(3.0, 10.0)
+        w = SyntheticWind(3.0, 10.0)
         assert w.at(0.0) == (0.0, 3.0)
 
     def test_zero_mean_over_period(self):
-        w = synthetic_wind(2.0, 7.0, phase=0.3)
+        w = SyntheticWind(2.0, 7.0, phase=0.3)
         t = np.linspace(0.0, 7.0, 10001)[:-1]
         u, v = w.at(t)
         assert abs(u.mean()) < 1e-3 and abs(v.mean()) < 1e-3
 
     def test_constant_magnitude(self):
-        w = synthetic_wind(2.5, 3.0, phase=1.0)
+        w = SyntheticWind(2.5, 3.0, phase=1.0)
         t = np.linspace(0.0, 9.0, 101)
         u, v = w.at(t)
         assert np.allclose(np.hypot(u, v), 2.5)
