@@ -324,7 +324,7 @@ def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
     export_csv(manifest_rows, ["t", "filename"], index_path)
     outputs.append(index_path)
     counters = {key: getattr(snaps, key)
-                for key in ("newton_iterations", "factorizations", "half_step_retries")}
+                for key in ("newton_iterations", "linear_iterations", "half_step_retries")}
     return outputs, {"n_snapshots": len(manifest_rows), "counters": counters}
 
 

@@ -13,13 +13,13 @@ keeps the closed phosphorus budget conservative to solver tolerance; with
 the lumped mass it also keeps pure diffusion positivity preserving on
 Delaunay meshes.
 
-Each backward-Euler step solves the nonlinear system by simplified Newton:
-the Jacobian (analytic reaction terms, exact spatial operators) is factored
-once by sparse LU and the factor is reused across iterations, refactored at
-the current iterate only when the residual stops contracting fast.  On fine
-meshes the factorization dominates the step, so this saves most of its
-cost.  A step that fails to converge is retried as two half steps before
-giving up.
+Each backward-Euler step solves the nonlinear system by Newton-GMRES: the
+exact Jacobian (analytic reaction terms, exact spatial operators) is
+applied matrix-free and preconditioned by the inverse of its nodal 3x3
+blocks.  With the lumped mass the Newton matrix is mass-dominated at the
+bundled winds, so a few Krylov iterations per update replace a sparse LU
+factor, whose fill dominated the step on fine meshes.  A step that fails to
+converge is retried as two half steps before giving up.
 The growth quota is the reaction kernel's: p/B clipped to [Q_m, Q_M], with
 q_hat where biomass has vanished, so a node whose internal phosphorus runs
 out stops growing and its biomass decays to extinction.
@@ -32,8 +32,8 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, diags
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .core import ModelParams, _quota, _reaction_kernel
 from .mesh import TriMesh
@@ -56,12 +56,16 @@ __all__ = [
 QUOTA_B_FLOOR = 1e-6
 
 
-#: Simplified Newton refactors the Jacobian at the current iterate when a
-#: step shrinks the residual by less than this factor.
-_REFACTOR_RATIO = 0.1
-
 #: Newton iterations per step before it falls back to two half steps.
 _MAX_ITER = 25
+
+#: GMRES of each Newton update: relative tolerance, absolute tolerance as a
+#: share of Newton's ``tol * scale``, Krylov basis size per restart, and
+#: restart cycles before the update counts as failed.
+_GMRES_RTOL = 1e-6
+_GMRES_ATOL = 0.1
+_GMRES_RESTART = 40
+_GMRES_MAXITER = 5
 
 
 class NewtonError(RuntimeError):
@@ -73,7 +77,7 @@ class _NewtonStats:
     """Work counters that :func:`simulate_2d` passes down to each step."""
 
     newton_iterations: int = 0
-    factorizations: int = 0
+    linear_iterations: int = 0
     half_step_retries: int = 0
 
 
@@ -120,11 +124,6 @@ class Field2D:
 
     def stack(self) -> np.ndarray:
         return np.concatenate([self.B, self.p, self.P])
-
-    @classmethod
-    def unstack(cls, y: np.ndarray) -> "Field2D":
-        n = y.size // 3
-        return cls(y[:n], y[n : 2 * n], y[2 * n :])
 
     def quota(self, params: ModelParams) -> np.ndarray:
         """Pointwise p/B, with q_hat where biomass has numerically vanished."""
@@ -242,16 +241,19 @@ def newton_be_step(
 ) -> Field2D:
     """One backward-Euler step of size ``dt`` ending at ``t_next``.
 
-    Solves ``M_L (U - U_n) + dt (L U - M_L R(U)) = 0`` by simplified
-    Newton, with ``M_L = diag(m)`` for the lumped mass vector ``m`` of
-    :class:`FemOperators` (``m * x`` in the residual, ``diags(m)`` in the
-    Jacobian): the exact sparse Jacobian is factored
-    once with SuperLU at the start of the step, and the iteration reuses
-    that factor until one update shrinks the residual by less than a factor
-    of 10; the Jacobian is then factored again at the current iterate
-    (Hairer & Wanner, *Solving ODEs II*, IV.8).  ``tol`` is relative to the
-    scale of ``M_L U_n``.  On non-convergence the step is retried as two
-    half steps (three levels deep) before raising :class:`NewtonError`.
+    Solves ``M_L (U - U_n) + dt (L U - M_L R(U)) = 0`` by inexact Newton,
+    with ``M_L = diag(m)`` for the lumped mass vector ``m`` of
+    :class:`FemOperators`.  Each iteration evaluates the reaction terms and
+    their exact Jacobian R' once and solves ``J delta = -F`` by restarted
+    GMRES (Saad & Schultz 1986; Knoll & Keyes, J. Comput. Phys. 193, 2004).
+    J is applied matrix-free, ``m x + dt L x`` per field minus the nodal
+    coupling ``dt m R' x``, and preconditioned by the inverse of its nodal
+    3x3 blocks ``m I + dt diag(L) - dt m R'``.  ``tol`` is relative to the
+    scale of ``M_L U_n``.  A linear solve that fails (GMRES ``info != 0``,
+    or a singular nodal block) ends the iteration.  On non-convergence the
+    step is retried as two half steps (three levels deep) before raising
+    :class:`NewtonError`, whose message gives the final residual and the
+    outcome of the last linear solve.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -261,64 +263,75 @@ def newton_be_step(
     v = as_wind(wind)(t_next)
     L_B, L_P = _step_matrices(ops, v, params)
     m = ops.m_lumped
+    n = m.size
+    U_old = np.stack([U_n.B, U_n.p, U_n.P])
 
-    scale = max(1.0, float(np.linalg.norm(m * U_n.B)), float(np.linalg.norm(m * U_n.p)),
-                float(np.linalg.norm(m * U_n.P)))
+    scale = max(1.0, *(float(np.linalg.norm(m * u)) for u in U_old))
 
-    def residual(y):
-        B, p, P = np.split(y, 3)
-        R_B, R_p, R_P = _reaction_kernel(B, p, P, params).rates
-        F_B = m * (B - U_n.B) + dt * (L_B @ B - m * R_B)
-        F_p = m * (p - U_n.p) + dt * (L_B @ p - m * R_p)
-        F_P = m * (P - U_n.P) + dt * (L_P @ P - m * R_P)
-        return np.concatenate([F_B, F_p, F_P])
+    def spatial(X):
+        return np.stack([L_B @ X[0], L_B @ X[1], L_P @ X[2]])
 
-    def jacobian(y):
-        react = dt * (m * _reaction_kernel(*np.split(y, 3), params, jacobian=True).jacobian)
-        blocks = [[diags(-react[i, j]) for j in range(3)] for i in range(3)]
-        for i, L in enumerate((L_B, L_B, L_P)):
-            blocks[i][i] = diags(m, format="csr") + dt * L - diags(react[i, i])
-        blocks[0][2] = None  # growth does not see dissolved phosphorus
-        return bmat(blocks, format="csc")
+    def count(_):
+        _stats.linear_iterations += 1
 
-    y = U_n.stack()
-    lu = None
-    prev_res = math.inf
-    converged = False
-    for _ in range(_MAX_ITER):
-        F = residual(y)
-        res = np.linalg.norm(F)
+    # m + dt diag(L) per field: the spatial part of each nodal block
+    own = m + dt * np.stack([L_B.diagonal(), L_B.diagonal(), L_P.diagonal()])
+
+    y = U_old
+    solve = "none"
+    for it in range(_MAX_ITER + 1):
+        react = _reaction_kernel(*y, params, jacobian=True)
+        F = m * (y - U_old) + dt * (spatial(y) - m * react.rates)
+        res = float(np.linalg.norm(F))
         if res <= tol * scale:
-            converged = True
+            return Field2D(*y)
+        if it == _MAX_ITER or not np.isfinite(res):
             break
-        if not np.all(np.isfinite(F)):
+        coupling = dt * m * react.jacobian  # (3, 3, n)
+        blocks = -coupling.transpose(2, 0, 1)
+        blocks[:, range(3), range(3)] += own.T
+        try:
+            inverse = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError as exc:
+            solve = f"nodal block inverse raised LinAlgError ({exc})"
             break
-        if lu is None or res > _REFACTOR_RATIO * prev_res:
-            lu = None  # free the old factor first: two at once raise peak memory
-            try:
-                lu = splu(jacobian(y))
-            except RuntimeError:  # singular factorization
-                break
-            _stats.factorizations += 1
-        delta = lu.solve(-F)
-        _stats.newton_iterations += 1
-        if not np.all(np.isfinite(delta)):
-            break
-        y = y + delta
-        prev_res = res
-    # non-finite residuals must count as failure, so compare negated
-    if not converged and not (np.linalg.norm(residual(y)) <= tol * scale):
-        lu = None  # the half steps build their own factors
-        if _depth >= 3:
-            raise NewtonError(
-                f"Newton did not converge at t={t_next:g} (dt={dt:g})"
-            )
-        _stats.half_step_retries += 1
-        half = newton_be_step(
-            U_n, dt / 2, t_next - dt / 2, mesh, wind, params, tol, _depth + 1, _stats
+
+        def apply_J(x):
+            X = x.reshape(3, n)
+            return (m * X + dt * spatial(X) - np.einsum("ijn,jn->in", coupling, X)).ravel()
+
+        def apply_precond(x):
+            return np.einsum("nij,jn->in", inverse, x.reshape(3, n)).ravel()
+
+        delta, info = gmres(
+            LinearOperator((3 * n, 3 * n), matvec=apply_J, dtype=float),
+            -F.ravel(),
+            rtol=_GMRES_RTOL,
+            atol=_GMRES_ATOL * tol * scale,
+            restart=_GMRES_RESTART,
+            maxiter=_GMRES_MAXITER,
+            M=LinearOperator((3 * n, 3 * n), matvec=apply_precond, dtype=float),
+            callback=count,
+            callback_type="pr_norm",
         )
-        return newton_be_step(half, dt / 2, t_next, mesh, wind, params, tol, _depth + 1, _stats)
-    return Field2D.unstack(y)
+        _stats.newton_iterations += 1
+        solve = f"GMRES info={info}"
+        if info != 0:
+            break
+        if not np.all(np.isfinite(delta)):
+            solve += " with a non-finite update"
+            break
+        y = y + delta.reshape(3, n)
+    if _depth >= 3:
+        raise NewtonError(
+            f"Newton did not converge at t={t_next:g} (dt={dt:g}): residual {res:.3g} "
+            f"against tol*scale {tol * scale:.3g}; last linear solve: {solve}"
+        )
+    _stats.half_step_retries += 1
+    half = newton_be_step(
+        U_n, dt / 2, t_next - dt / 2, mesh, wind, params, tol, _depth + 1, _stats
+    )
+    return newton_be_step(half, dt / 2, t_next, mesh, wind, params, tol, _depth + 1, _stats)
 
 
 def _cell_peclet(h: float, wind_speed: float, params: ModelParams) -> float:
@@ -341,8 +354,8 @@ class Snapshots2D:
     """Fields captured at the requested output times.
 
     The counters sum the Newton work of all steps, half-step retries
-    included: Newton iterations (one linear solve each), Jacobian
-    factorizations, and steps that fell back to two half steps.
+    included: Newton iterations (one GMRES solve each), GMRES inner
+    iterations, and steps that fell back to two half steps.
     """
 
     times: np.ndarray
@@ -350,7 +363,7 @@ class Snapshots2D:
     mesh: TriMesh
     params: ModelParams
     newton_iterations: int = 0
-    factorizations: int = 0
+    linear_iterations: int = 0
     half_step_retries: int = 0
 
     def validate(self) -> None:

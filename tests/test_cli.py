@@ -188,7 +188,7 @@ class TestSubcommands:
             assert (out / row.split(",")[1]).exists()
         counters = json.loads((out / "manifest.json").read_text())["counters"]
         assert counters["half_step_retries"] == 0
-        assert 0 < counters["factorizations"] <= counters["newton_iterations"]
+        assert 0 < counters["newton_iterations"] <= counters["linear_iterations"]
 
     def test_sobol_requires_seed(self, tmp_path):
         path = write_config(

@@ -6,15 +6,28 @@ where every spatial term vanishes), and the homogeneous BDF trajectory for
 multi-step uniform runs.
 """
 
+import re
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import fsolve
 from scipy.sparse import bmat, diags
 from scipy.sparse.linalg import spsolve
 
-from bloomsim.core import EPS_B, HomState, _reaction_kernel, default_params, reaction_rhs
+from bloomsim import solver2d
+from bloomsim.core import (
+    _BASE_CONSTANTS,
+    EPS_B,
+    HomState,
+    _reaction_kernel,
+    default_params,
+    reaction_rhs,
+)
 from bloomsim.mesh import refine_uniform, synthetic_lake_mesh, two_triangle_square
 from bloomsim.ode import IntegrationError, integrate_homogeneous
 from bloomsim.solver2d import (
@@ -26,12 +39,19 @@ from bloomsim.solver2d import (
     newton_be_step,
     simulate_2d,
 )
-from bloomsim.wind import SyntheticWind
+from bloomsim.wind import SyntheticWind, WindSeries, parse_wind_records
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
 def lake():
     return synthetic_lake_mesh(target_h=120.0)
+
+
+@pytest.fixture(scope="module")
+def lake_114():
+    return synthetic_lake_mesh()
 
 
 class TestAssemble:
@@ -127,11 +147,26 @@ class TestNewtonStep:
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.1)
         bad_wind = lambda t: (np.nan, 0.0)  # noqa: E731
         stats = _NewtonStats()
-        with pytest.raises(NewtonError):
+        with pytest.raises(NewtonError, match=r"t=0\.125 .*residual nan against "
+                                               r"tol\*scale .*last linear solve: none"):
             newton_be_step(U0, 1.0, 1.0, lake, bad_wind, params_case3, _stats=stats)
         # levels 0, 1 and 2 each fell back to half steps once; level 3 raised
         assert stats.half_step_retries == 3
-        assert stats.factorizations == 0  # the residual is NaN from the start
+        assert stats.linear_iterations == 0  # the residual is NaN from the start
+
+    def test_singular_nodal_block_takes_half_steps(self, lake):
+        # extinct biomass without diffusion: the B row of each nodal block is
+        # m (1 - dt a11), zero at dt = 1/a11; with P = 0 the B column is zero
+        # too, so the block inverse raises and the step halves instead
+        params = default_params(r=1.0, P_h=0.2, alpha=0.0)
+        a11 = _reaction_kernel(0.0, 0.0, 0.0, params, jacobian=True).jacobian[0, 0]
+        assert a11 > 0.0
+        U0 = Field2D.uniform(lake, 0.0, 0.02, 0.0)
+        stats = _NewtonStats()
+        U1 = newton_be_step(U0, 1.0 / a11, 1.0 / a11, lake, None, params, _stats=stats)
+        assert stats.half_step_retries == 1
+        assert np.all(U1.B == 0.0)
+        assert np.all(U1.P > 0.0)  # filled from the hypolimnion
 
 
 def full_newton_step(U_n, dt, t_next, mesh, wind, params, tol=1e-12, max_iter=25):
@@ -159,7 +194,8 @@ def full_newton_step(U_n, dt, t_next, mesh, wind, params, tol=1e-12, max_iter=25
 
 
 class TestSimplifiedNewton:
-    """Four windy steps on the 114-node lake against the full-Newton oracle."""
+    """Four windy steps on the 114-node lake: Newton-GMRES against the
+    full-Newton oracle."""
 
     @pytest.fixture(scope="class")
     def windy_run(self):
@@ -183,10 +219,130 @@ class TestSimplifiedNewton:
         for name in ("B", "p", "P"):
             np.testing.assert_allclose(getattr(got, name), getattr(oracle, name), rtol=1e-10)
 
-    def test_factors_are_reused(self, windy_run):
+    def test_few_newton_iterations_per_step(self, windy_run):
         _, snaps, _ = windy_run
         assert snaps.half_step_retries == 0
-        assert 4 <= snaps.factorizations < snaps.newton_iterations
+        steps = 4  # dt = 0.5 to t = 2
+        assert snaps.newton_iterations <= 4 * steps
+        assert snaps.linear_iterations >= snaps.newton_iterations
+
+
+def be_residual(U_n, U, dt, t_next, mesh, wind, params):
+    """Norm of the backward-Euler residual of ``U`` and its ``scale``, in the
+    form and order of :func:`newton_be_step`."""
+    M, K, C = assemble_fem(mesh, wind.at(t_next), params)
+    m = np.asarray(M.sum(axis=1)).ravel()
+    L = [params.alpha * K + params.beta_B * C] * 2 + [params.beta * K + params.beta_P * C]
+    old, new = [U_n.B, U_n.p, U_n.P], [U.B, U.p, U.P]
+    rates = _reaction_kernel(U.B, U.p, U.P, params).rates
+    F = np.stack([m * (u - u0) + dt * (Li @ u - m * R)
+                  for u, u0, Li, R in zip(new, old, L, rates)])
+    return np.linalg.norm(F), max(1.0, *(float(np.linalg.norm(m * u)) for u in old))
+
+
+def accepted_solves(U_n, dt, mesh, wind, params):
+    """One step of ``dt`` from t = 0; every backward-Euler solve it accepted,
+    as ``(U_n, dt, t_next, U)``: one, or the leaves of its half steps."""
+    solves, stack = [], []
+    original = solver2d.newton_be_step
+
+    def spy(U_n, dt, t_next, *args, **kwargs):
+        if stack:
+            stack[-1] = False  # the caller halved: it solved nothing itself
+        stack.append(True)
+        try:
+            U = original(U_n, dt, t_next, *args, **kwargs)
+        finally:
+            leaf = stack.pop()
+        if leaf:
+            solves.append((U_n, dt, t_next, U))
+        return U
+
+    with mock.patch.object(solver2d, "newton_be_step", spy):
+        solver2d.newton_be_step(U_n, dt, dt, mesh, wind, params)
+    return solves
+
+
+def around(default):
+    return st.floats(default / 10.0, default * 10.0)
+
+
+def zero_or_around(default):
+    return st.one_of(st.just(0.0), around(default))
+
+
+@st.composite
+def lake_steps(draw):
+    """Parameters inside the domain ``ModelParams`` admits, within a decade
+    of the defaults; a bump or extinct field; dt up to 4 days; a wind of one
+    or two records.
+
+    Movement coefficients, D, P_h, P_in, the initial biomass and the initial
+    dissolved phosphorus may all be zero; winds blow up to 1 m/s (86400
+    m/day), where Galerkin advection is far outside its Peclet range.
+    """
+    base = _BASE_CONSTANTS
+    Q_m = draw(around(base["Q_m"]))
+    params = default_params(
+        r=draw(around(1.0)),
+        P_h=draw(zero_or_around(0.2)),
+        Q_m=Q_m,
+        Q_M=Q_m * draw(st.floats(1.01, 50.0)),
+        P_in=draw(zero_or_around(0.01)),
+        **{name: draw(zero_or_around(base[name]))
+           for name in ("alpha", "beta", "beta_B", "beta_P", "D")},
+        **{name: draw(around(base[name]))
+           for name in ("z_m", "k", "K_bg", "H", "I_in", "l", "rho_m", "M")},
+    )
+    B_base = draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0)))
+    B_peak = draw(st.floats(0.0, 20.0)) if B_base > 0.0 else 0.0
+    Q0 = draw(st.floats(params.Q_m, params.Q_M))
+    P0 = draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+    records = draw(st.integers(1, 2))
+    speed = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    wind = WindSeries(np.arange(records) * draw(st.floats(0.1, 5.0)),
+                      [draw(speed) for _ in range(records)],
+                      [draw(speed) for _ in range(records)])
+    return params, (B_base, B_peak, Q0, P0), draw(st.floats(1e-3, 4.0)), wind
+
+
+class TestRobustness:
+    """Every outcome of a step or a run is a checked result or a typed error."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lake_steps())
+    def test_step_converges_or_raises_newton_error(self, lake_114, case):
+        params, (B_base, B_peak, Q0, P0), dt, wind = case
+        mesh = lake_114
+        U0 = Field2D.bump(mesh, B_base, B_peak, Q0, P0)
+        try:
+            solves = accepted_solves(U0, dt, mesh, wind, params)
+        except NewtonError as exc:
+            assert "last linear solve" in str(exc)
+            return
+        assert sum(step for _, step, _, _ in solves) == pytest.approx(dt, rel=1e-12)
+        for U_n, step, t_next, U in solves:
+            res, scale = be_residual(U_n, U, step, t_next, mesh, wind, params)
+            assert res <= 1e-12 * scale
+
+    @pytest.mark.parametrize("wind", ["wind_sample.csv", SyntheticWind(2000.0, 9.0)],
+                             ids=["wind_sample", "synthetic_2000"])
+    def test_strong_wind_run_is_valid_or_typed(self, lake_114, wind):
+        if isinstance(wind, str):
+            with open(CONFIGS_DIR / wind, encoding="utf-8") as fh:
+                wind = parse_wind_records(fh)
+        mesh = lake_114
+        params = default_params(r=1.0, P_h=2.0)
+        U0 = Field2D.bump(mesh, P0=2.0)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "cell Peclet", RuntimeWarning)
+            try:
+                snaps = simulate_2d(U0, mesh, wind, params, dt=0.5, t_end=5.0,
+                                    output_times=[5.0])
+            except (NewtonError, IntegrationError) as exc:
+                assert re.search(r"\bt=\d", str(exc)), str(exc)
+                return
+        snaps.validate()
 
 
 class TestSimulate:
