@@ -14,10 +14,9 @@ called from any number of concurrent workers.
 The reaction terms have one implementation, the private array kernel
 ``_reaction_kernel``: the scalar :func:`reaction_rhs` and
 :func:`reaction_jacobian`, the 1D right-hand side and the 2D Newton step all
-call it.  The kernel also owns the growth quota: it clips the quota to the
-tube [Q_m, Q_M], and unless the caller evolves a quota of its own (the 1D
-transect passes its Q) it takes the cell quota p/B, or q_hat where
-B <= EPS_B.  A cell without internal phosphorus therefore stops growing
+call it.  The kernel also owns the growth quota, the one convention of every
+solver: the cell quota p/B, or q_hat where B <= EPS_B, clipped to the tube
+[Q_m, Q_M].  A cell without internal phosphorus therefore stops growing
 and only decays, as in the paper's extinction regime.
 
 Nonlinear coefficients are evaluated at states clipped to >= 0 and the linear
@@ -383,41 +382,56 @@ def _quota(B, p, params: ModelParams):
     return p / B if B > EPS_B else q_hat(params)
 
 
+#: Tube checks of the transect and lake fields apply only above this biomass.
+#: The solvers control their error relative to the size of the whole field,
+#: which permits nodal errors in B and p of ~1e-10 on the bundled runs; below
+#: this floor those could move p/B by more than the tube's 1e-6 tolerance.
+QUOTA_B_FLOOR = 1e-6
+
+
+def _check_fields(B, p, P, params: ModelParams) -> None:
+    """Raise ValueError unless the nodal arrays are finite and >= -1e-10,
+    and p/B lies in [Q_m, Q_M] (to 1e-6) wherever B > QUOTA_B_FLOOR.
+
+    The one validation rule of the transect and lake fields; the finiteness
+    check comes first, because the comparisons below are false on NaN.
+    """
+    if not all(np.isfinite(a).all() for a in (B, p, P)):
+        raise ValueError("non-finite state")
+    if min(B.min(), p.min(), P.min()) < -1e-10:
+        raise ValueError("negative state beyond tolerance")
+    mask = B > QUOTA_B_FLOOR
+    if mask.any():
+        q = p[mask] / B[mask]
+        if q.min() < params.Q_m - 1e-6 or q.max() > params.Q_M + 1e-6:
+            raise ValueError("cell quota left the [Q_m, Q_M] tube")
+
+
 class _Reactions(NamedTuple):
     rates: np.ndarray              # (3, n) rows dB, dp, dP
     jacobian: np.ndarray | None    # (3, 3, n) d(rates)/d(B, p, P), on request
-    h: np.ndarray                  # growth_h at the clipped biomass
-    uptake: np.ndarray             # rho_m/(Q_M - Q_m) P/(P + M), clipped P
-    quota: np.ndarray              # growth quota, clipped to [Q_m, Q_M]
-    h_prime: np.ndarray | None     # d h/d B, with the clamp's slope, on request
-    uptake_prime: np.ndarray | None  # d uptake/d P, with the clamp's slope, on request
-    growth_q: np.ndarray | None    # d(dB)/d(quota), with the clip's slope, on request
 
 
-def _reaction_kernel(B, p, P, params: ModelParams, jacobian: bool = False,
-                     quota=None) -> _Reactions:
+def _reaction_kernel(B, p, P, params: ModelParams, jacobian: bool = False) -> _Reactions:
     """The pointwise reaction terms, the only implementation of them.
 
     Evaluates at nodewise arrays (or scalars) of B, p, P.  Growth is
-    ``r (1 - Q_m/q) h B`` with q = clip(quota, Q_m, Q_M), and ``quota``
-    defaults to the cell quota :func:`_quota` (p/B, q_hat where
-    B <= EPS_B).  Nonlinear coefficients see the states clipped to >= 0, so
-    slightly negative trial iterates cannot blow up; the linear loss and
-    exchange terms see the raw states, which keeps the uptake and recycling
-    cancellation between the p and P rows exact.
+    ``r (1 - Q_m/q) h B`` with q the cell quota :func:`_quota` (p/B, q_hat
+    where B <= EPS_B) clipped to [Q_m, Q_M].  Nonlinear coefficients see
+    the states clipped to >= 0, so slightly negative trial iterates cannot
+    blow up; the linear loss and exchange terms see the raw states, which
+    keeps the uptake and recycling cancellation between the p and P rows
+    exact.
 
     The Jacobian is exact: the clamps have slope one at zero and above, the
-    clip slope one on the closed tube, and the default quota is chained
-    through d(p/B)/d(B, p) where B > EPS_B.  ``growth_q`` is d(dB)/d(quota),
-    for a caller that passes its own quota.  No domain checks: the public
-    kernels hold them.
+    clip slope one on the closed tube, and the quota is chained through
+    d(p/B)/d(B, p) where B > EPS_B.  No domain checks: the public kernels
+    hold them.
     """
     Bc = np.maximum(B, 0.0)
     pc = np.maximum(p, 0.0)
     Pc = np.maximum(P, 0.0)
-    cell_quota = quota is None
-    if cell_quota:
-        quota = _quota(B, p, params)
+    quota = _quota(B, p, params)
     if isinstance(quota, np.ndarray):
         q = np.clip(quota, params.Q_m, params.Q_M)
     else:  # the homogeneous kernels: np.clip would cost ~4 us a call
@@ -439,19 +453,16 @@ def _reaction_kernel(B, p, P, params: ModelParams, jacobian: bool = False,
         ]
     )
     if not jacobian:
-        return _Reactions(rates, None, h, uptake, q, None, None, None)
+        return _Reactions(rates, None)
 
     slope_B, slope_p, slope_P = B >= 0, p >= 0, P >= 0
     h_prime = h_prime * slope_B
     coefficient = params.rho_m / (params.Q_M - params.Q_m)
     saturation = (Pc + params.M) ** 2
-    uptake_prime = coefficient * params.M / saturation * slope_P
     in_tube = (quota >= params.Q_m) & (quota <= params.Q_M)
-    growth_q = params.r * params.Q_m * h * Bc * q_inv**2 * in_tube
-    # growth_q (r Q_m h B/q^2) times d(p/B)/d(B, p) = (-p/B, 1)/B where
-    # B > EPS_B; a quota the caller passes is constant in B and p
-    live = (B > EPS_B) if cell_quota else 0.0
-    a12 = params.r * params.Q_m * h * q_inv**2 * in_tube * live
+    # d(dB)/d(quota) = r Q_m h B/q^2 times d(p/B)/d(B, p) = (-p/B, 1)/B
+    # where B > EPS_B; q_hat below it is constant in B and p
+    a12 = params.r * params.Q_m * h * q_inv**2 * in_tube * (B > EPS_B)
     a11 = growth * h * slope_B + growth * h_prime * Bc - loss - a12 * quota
     a21 = params.Q_M * uptake * slope_B
     a22 = uptake * slope_p
@@ -463,7 +474,7 @@ def _reaction_kernel(B, p, P, params: ModelParams, jacobian: bool = False,
             [-a21, a22 + params.l, -params.exchange - a23],
         ]
     )
-    return _Reactions(rates, jac, h, uptake, q, h_prime, uptake_prime, growth_q)
+    return _Reactions(rates, jac)
 
 
 def reaction_rhs(state: HomState, params: ModelParams) -> np.ndarray:

@@ -26,6 +26,7 @@ dp + dP = P_in > 0, and no equilibrium exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -115,16 +116,20 @@ class HomTrajectory:
         return HomState(B, p, P)
 
     def validate(self) -> None:
-        """Check positivity (to 1e-10) and the quota tube (to 1e-6) at every
-        sample; the :class:`IntegrationError` names the first failing
-        sample's time and state."""
+        """Check finiteness, positivity (to 1e-10) and the quota tube (to
+        1e-6) at every sample; the :class:`IntegrationError` names the first
+        failing sample's time and state."""
+        finite = np.isfinite(self.y).all(axis=0)
         negative = (self.y < -1e-10).any(axis=0)
-        q = self.quota()
-        outside = (q < self.params.Q_m - 1e-6) | (q > self.params.Q_M + 1e-6)
-        failed = np.flatnonzero(negative | outside)
+        # the quota of finite samples only: p/B of infinities is NaN
+        outside = np.zeros_like(finite)
+        q = _quota(self.B[finite], self.p[finite], self.params)
+        outside[finite] = (q < self.params.Q_m - 1e-6) | (q > self.params.Q_M + 1e-6)
+        failed = np.flatnonzero(~finite | negative | outside)
         if failed.size:
             i = failed[0]
-            message = ("negative state beyond tolerance" if negative[i]
+            message = ("non-finite state" if not finite[i]
+                       else "negative state beyond tolerance" if negative[i]
                        else "cell quota left [Q_m, Q_M] tube")
             raise IntegrationError(message, float(self.t[i]), self.y[:, i])
 
@@ -140,14 +145,22 @@ def _validate_samples(times, fields, params: ModelParams) -> None:
             raise IntegrationError(str(exc), float(t), f.stack()) from exc
 
 
+class _RawState(NamedTuple):
+    """BDF's state as :func:`reaction_rhs` reads it, unchecked: trial states
+    may be slightly negative, and the kernel clips only its nonlinear
+    coefficients, so the linear loss terms pull an undershoot back."""
+
+    B: float
+    p: float
+    P: float
+
+
 def _rhs_flat(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
-    B, p, P = np.maximum(y, 0.0)
-    return reaction_rhs(HomState(B, p, P), params)
+    return reaction_rhs(_RawState(*y), params)
 
 
 def _jac_flat(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
-    B, p, P = np.maximum(y, 0.0)
-    return reaction_jacobian(B, p, P, params)
+    return reaction_jacobian(*y, params)
 
 
 def _solve_bdf(fun, jac, y0, t_end, rtol, atol, t_eval, args=None, convert=()):

@@ -35,7 +35,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .core import ModelParams, _quota, _reaction_kernel
+from .core import QUOTA_B_FLOOR  # noqa: F401  (the tube floor stays importable from here)
+from .core import ModelParams, _check_fields, _quota, _reaction_kernel
 from .mesh import TriMesh
 from .ode import _validate_samples
 from .wind import as_wind
@@ -48,13 +49,6 @@ __all__ = [
     "newton_be_step",
     "simulate_2d",
 ]
-
-#: Tube checks apply only above this biomass.  Newton's stopping test is
-#: relative to the scale of the whole field, so it permits nodal errors in B
-#: and p of ~1e-10 on the bundled lake; below this floor those could move
-#: p/B by more than the tube's 1e-6 tolerance.
-QUOTA_B_FLOOR = 1e-6
-
 
 #: Newton iterations per step before it falls back to two half steps.
 _MAX_ITER = 25
@@ -130,20 +124,14 @@ class Field2D:
         return _quota(self.B, self.p, params)
 
     def validate(self, params: ModelParams) -> None:
-        """Positivity everywhere (to 1e-10); the quota tube (to 1e-6) where
-        biomass is alive.
+        """Finite values, positivity everywhere (to 1e-10), and the quota
+        tube (to 1e-6) where biomass is alive.
 
         The tube check masks nodes below :data:`QUOTA_B_FLOOR`: underneath
         it the errors that Newton's stopping test permits in B and p could
         move p/B by more than the tolerance.
         """
-        if min(self.B.min(), self.p.min(), self.P.min()) < -1e-10:
-            raise ValueError("negative nodal value beyond tolerance")
-        mask = self.B > QUOTA_B_FLOOR
-        if mask.any():
-            q = self.p[mask] / self.B[mask]
-            if q.min() < params.Q_m - 1e-6 or q.max() > params.Q_M + 1e-6:
-                raise ValueError("cell quota left the [Q_m, Q_M] tube")
+        _check_fields(self.B, self.p, self.P, params)
 
 
 @dataclass
@@ -249,11 +237,12 @@ def newton_be_step(
     J is applied matrix-free, ``m x + dt L x`` per field minus the nodal
     coupling ``dt m R' x``, and preconditioned by the inverse of its nodal
     3x3 blocks ``m I + dt diag(L) - dt m R'``.  ``tol`` is relative to the
-    scale of ``M_L U_n``.  A linear solve that fails (GMRES ``info != 0``,
-    or a singular nodal block) ends the iteration.  On non-convergence the
-    step is retried as two half steps (three levels deep) before raising
-    :class:`NewtonError`, whose message gives the final residual and the
-    outcome of the last linear solve.
+    larger scale of ``M_L U_n`` and of ``M_L U`` at the current iterate.  A
+    linear solve that fails (GMRES ``info != 0``, or a singular nodal block)
+    ends the iteration.  On non-convergence the step is retried as two half
+    steps (three levels deep) before raising :class:`NewtonError`, whose
+    message gives the final residual and the outcome of the last linear
+    solve.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -266,7 +255,7 @@ def newton_be_step(
     n = m.size
     U_old = np.stack([U_n.B, U_n.p, U_n.P])
 
-    scale = max(1.0, *(float(np.linalg.norm(m * u)) for u in U_old))
+    scale_old = max(1.0, *(float(np.linalg.norm(m * u)) for u in U_old))
 
     def spatial(X):
         return np.stack([L_B @ X[0], L_B @ X[1], L_P @ X[2]])
@@ -282,6 +271,8 @@ def newton_be_step(
     for it in range(_MAX_ITER + 1):
         react = _reaction_kernel(*y, params, jacobian=True)
         F = m * (y - U_old) + dt * (spatial(y) - m * react.rates)
+        # a step from (near) zero fields must not stop on an absolute 1e-12
+        scale = max(scale_old, *(float(np.linalg.norm(m * u)) for u in y))
         res = float(np.linalg.norm(F))
         if res <= tol * scale:
             return Field2D(*y)

@@ -124,9 +124,14 @@ def parse_wind_records(source) -> WindSeries:
 
     Raises
     ------
+    TypeError
+        If ``source`` is not an open text stream (a path, for instance).
     ValueError
         On a malformed row (with its line number) or fewer than 2 records.
     """
+    if not hasattr(source, "readline"):
+        raise TypeError(f"expected an open text stream, got {type(source).__name__}; "
+                        "open the file and pass the stream")
     header = source.readline()
     if not header or "timestamp" not in header.lower():
         raise ValueError("missing header row (expected: timestamp,u_mps,v_mps)")

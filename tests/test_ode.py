@@ -99,6 +99,14 @@ class TestIntegrateHomogeneous:
         traj = integrate_homogeneous(HomState(5.0, 0.1, 0.15), params_case2, 4000.0)
         assert traj.B[-1] < 1e-9
 
+    def test_undershoot_of_internal_phosphorus_is_pulled_back(self):
+        # the integrand sees the raw state: a trial p slightly below zero
+        # meets its linear loss, not a clip to zero that would hold it there
+        traj = integrate_homogeneous(HomState(5.0, 0.1, 0.15),
+                                     default_params(r=0.5, P_h=0.1), 4000.0)
+        traj.validate()
+        assert traj.B[-1] < 1e-9
+
     def test_quota_tube_and_positivity_along_trajectory(self, params_case3):
         start = HomState(0.5, 0.5 * params_case3.Q_m, 1.0)  # starved cells
         traj = integrate_homogeneous(start, params_case3, 500.0)
@@ -143,6 +151,17 @@ class TestIntegrateHomogeneous:
             HomTrajectory(t, y, params_case3).validate()
         assert info.value.t == 3.0
         assert np.array_equal(info.value.state, y[:, 3])
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("component", range(3))
+    def test_validate_rejects_non_finite_samples(self, params_case3, component, bad):
+        t = np.arange(4.0)
+        y = np.tile([[2.0], [0.04], [0.1]], t.size)
+        y[component, 2] = bad
+        with pytest.raises(IntegrationError, match="non-finite") as info:
+            HomTrajectory(t, y, params_case3).validate()
+        assert info.value.t == 2.0
 
 
 class TestFindEquilibrium:

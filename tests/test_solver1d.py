@@ -16,7 +16,16 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import lil_matrix
 
 import bloomsim.solver1d
-from bloomsim.core import EPS_B, HomState, default_params, reaction_rhs
+from bloomsim.core import (
+    EPS_B,
+    QUOTA_B_FLOOR,
+    HomState,
+    default_params,
+    growth_h,
+    q_hat,
+    reaction_rhs,
+    uptake_eta,
+)
 from bloomsim.ode import IntegrationError, integrate_homogeneous
 from bloomsim.solver1d import (
     Field1D,
@@ -24,7 +33,6 @@ from bloomsim.solver1d import (
     _differences,
     _jac_sparsity,
     _jacobian_1d,
-    _transport,
     _upwind_gradient,
     build_grid,
     integrate_1d,
@@ -58,11 +66,9 @@ class TestRhs:
         grid = build_grid(1000.0, 41)
         B0, Q0, P0 = 4.0, 0.02, 0.3
         f = Field1D.uniform(grid, B0, Q0, P0)
-        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, as_wind(None), params_case3))
+        rates = rhs_1d(0.0, f.stack(), grid, as_wind(None), params_case3).reshape(3, -1)
         oracle = reaction_rhs(HomState(B0, Q0 * B0, P0), params_case3)
-        assert np.allclose(rates.B, oracle[0], rtol=1e-12, atol=1e-14)
-        assert np.allclose(rates.p, oracle[1], rtol=1e-12, atol=1e-14)
-        assert np.allclose(rates.P, oracle[2], rtol=1e-12, atol=1e-14)
+        assert np.allclose(rates, oracle[:, None], rtol=1e-12, atol=1e-14)
 
     def test_resting_phosphorus_at_exchange_equilibrium(self, params_case2):
         grid = build_grid(500.0, 21)
@@ -72,9 +78,9 @@ class TestRhs:
             np.full(21, params_case2.P_h),
             np.zeros(21),
         )
-        rates = Field1D.unstack(rhs_1d(0.0, f.stack(), grid, as_wind(None), params_case2))
-        assert np.allclose(rates.P, 0.0, atol=1e-15)
-        assert np.allclose(rates.B, 0.0, atol=1e-15)
+        dB, _, dP = rhs_1d(0.0, f.stack(), grid, as_wind(None), params_case2).reshape(3, -1)
+        assert np.allclose(dP, 0.0, atol=1e-15)
+        assert np.allclose(dB, 0.0, atol=1e-15)
 
     def test_advection_speed_sign_selects_stencil(self, params_case3):
         # a left-moving wind must read the gradient from the right
@@ -82,13 +88,13 @@ class TestRhs:
         B = np.linspace(1.0, 2.0, 11)
         f = Field1D(B, np.full(11, 0.02), np.full(11, 0.2), 0.02 * B)
         y = f.stack()
-        plus = Field1D.unstack(rhs_1d(0.0, y, grid, lambda t: (+1.0, 0.0), params_case3))
-        minus = Field1D.unstack(rhs_1d(0.0, y, grid, lambda t: (-1.0, 0.0), params_case3))
+        plus = rhs_1d(0.0, y, grid, lambda t: (+1.0, 0.0), params_case3)[:11]
+        minus = rhs_1d(0.0, y, grid, lambda t: (-1.0, 0.0), params_case3)[:11]
         # the ramp has constant slope, so upwind/downwind differences match
         # except at the boundary nodes where the ghost copy zeroes one side
-        assert np.allclose(plus.B[1:-1] + minus.B[1:-1], 2 * Field1D.unstack(rhs_1d(
-            0.0, y, grid, as_wind(None), params_case3)).B[1:-1], rtol=1e-12)
-        assert plus.B[0] != minus.B[0]
+        assert np.allclose(plus[1:-1] + minus[1:-1], 2 * rhs_1d(
+            0.0, y, grid, as_wind(None), params_case3)[1:10], rtol=1e-12)
+        assert plus[0] != minus[0]
 
     def test_flat_state_in_and_out_input_unchanged(self, params_case3):
         # BDF's state is read through views, so the call must not write to it
@@ -96,7 +102,7 @@ class TestRhs:
         y = Field1D.bump(grid, P0=0.2).stack()
         before = y.copy()
         rates = rhs_1d(0.0, y, grid, as_wind(SyntheticWind(40.0, 9.0)), params_case3)
-        assert rates.shape == (4 * grid.Nx,)
+        assert rates.shape == (3 * grid.Nx,)
         assert np.array_equal(y, before)
 
     @pytest.mark.parametrize(
@@ -122,10 +128,10 @@ class TestRhs:
 @pytest.mark.parametrize("Nx", [3, 41, 101])
 def test_jac_sparsity_matches_loop_construction(Nx):
     # the loop construction that the Kronecker form replaced, kept as the oracle
-    S = lil_matrix((4 * Nx, 4 * Nx), dtype=np.int8)
+    S = lil_matrix((3 * Nx, 3 * Nx), dtype=np.int8)
     idx = np.arange(Nx)
-    for bi in range(4):
-        for bj in range(4):
+    for bi in range(3):
+        for bj in range(3):
             S[bi * Nx + idx, bj * Nx + idx] = 1
             S[bi * Nx + idx[1:], bj * Nx + idx[:-1]] = 1
             S[bi * Nx + idx[:-1], bj * Nx + idx[1:]] = 1
@@ -134,17 +140,17 @@ def test_jac_sparsity_matches_loop_construction(Nx):
     assert np.array_equal(pattern.toarray(), S.toarray())
 
 
-FIELDS = "BQPp"
+FIELDS = "BpP"
 
 
 @st.composite
 def transect_states(draw):
-    """Parameters, wind and a (B, Q, P, p) state from the admitted domain.
+    """Parameters, wind and a (B, p, P) state from the admitted domain.
 
     Movement coefficients and P_h may be zero; B, p and P nodes may be zero
-    or slightly negative and Q slightly outside its tube (integrator trial
-    states), Q may sit on either edge of its tube, and the wind blows
-    either way or not at all.
+    or slightly negative (integrator trial states), the cell quota p/B of a
+    live node may sit on either edge of its tube or just outside it, and
+    the wind blows either way or not at all.
     """
     params = default_params(
         r=draw(st.floats(0.2, 3.0)),
@@ -171,54 +177,71 @@ def transect_states(draw):
         Q[draw(st.lists(st.integers(0, Nx - 1), max_size=2))] = edge
         Q[draw(st.lists(st.integers(0, Nx - 1), max_size=1))] = outside
     P = nodes(st.floats(0.01, 2.0), ["zero", "negative"])
-    p = nodes(st.floats(0.01, 0.5), ["zero", "negative"]) * np.where(B > 0, B * Q, 1.0)
-
-    # where the Q speed beta_B v - 2 alpha B_x / max(B, EPS_B) is at or near
-    # zero, or steps through the EPS_B guard, its upwind side flips within a
-    # difference step; a locally flat quota makes both sides agree there
-    _, _, speeds, central, guarded = _transport(np.array([B, Q, P, p]), v, grid.dx, params)
-    scale = abs(params.beta_B * v) + 2.0 * params.alpha * np.abs(central) / guarded
-    flat = np.zeros(Nx + 1, dtype=bool)
-    for i in np.flatnonzero((B <= EPS_B) | (np.abs(speeds[1]) <= 1e-3 * scale)):
-        flat[max(i - 1, 0) : i + 2] = True
-    for i in range(1, Nx):
-        if flat[i - 1] and flat[i]:
-            Q[i] = Q[i - 1]
-    return params, v, grid, np.concatenate([B, Q, P, p])
+    p = nodes(st.floats(0.01, 0.5), ["zero", "negative"])
+    # at a live node a positive p is Q B, so that Q is its cell quota
+    p = np.where((B > 0) & (p > 0), Q * B, p)
+    return params, v, grid, np.concatenate([B, p, P])
 
 
 def difference_jacobian(y, grid, wind, params):
     """Column-wise differences of the stacked right-hand side.
 
-    Central differences away from the clamps.  At a clamp the difference is
-    one-sided, taken on the side whose slope the exact Jacobian uses: into
-    the quota tube at its edges, upwards at a zero state.  Below zero, and
-    for Q outside its tube, every term is affine in the state, so a step
-    away from the clamp is exact.
+    Central differences away from the kinks, which are the clamps at zero
+    and the edges of the quota tube.  At a kink the difference is
+    one-sided, taken on the side whose slope the exact Jacobian uses:
+    upwards at a zero state, and at an edge of the tube so that p/B stays
+    on the side it starts on, into the tube from its edge.  Below zero
+    every term is affine in the state, so a step away from the clamp is
+    exact.
+
+    At B = 0 the exact Jacobian takes the slope of the extinct branch
+    0 <= B <= EPS_B, where the growth quota is q_hat.  That branch is
+    narrower than any step a double-precision difference resolves, so
+    there the column is the difference on the affine branch below zero
+    plus the closed-form jump of the slope across zero: the growth rate
+    r (1 - Q_m/q_hat) h(0) in the B row, and the uptake coefficient
+    eta(1, 0, P) in the p row and its negative in the P row.
     """
     Nx = grid.Nx
+    B, p, P = y.reshape(3, Nx)
     Q_m, Q_M = params.Q_m, params.Q_M
 
     def f(z):
         return rhs_1d(0.0, z, grid, wind, params)
 
+    def one_sided(step):
+        return (4.0 * (f(y + step) - f0) - (f(y + 2 * step) - f0)) / (2 * step.sum())
+
+    f0 = f(y)
     J = np.empty((y.size, y.size))
     for j in range(y.size):
-        field, value = FIELDS[j // Nx], y[j]
-        # Q enters through 1/Q, so its step follows its own size
-        h = 1e-5 * value if field == "Q" else 1e-4 * max(abs(value), 0.1)
+        row, i = divmod(j, Nx)
+        value = y[j]
+        # a positive B or p of a live node moves the quota p/B, whose
+        # growth factor 1 - Q_m/q needs a step relative to q
+        quota_step = row < 2 and B[i] > EPS_B and value > 0
+        h = 1e-5 * value if quota_step else 1e-4 * max(abs(value), 0.1)
         step = np.zeros_like(y)
         step[j] = h
-        if value < (Q_m if field == "Q" else 0.0):
-            J[:, j] = (f(y) - f(y - step)) / h
-        elif field == "Q" and value > Q_M:
-            J[:, j] = (f(y + step) - f(y)) / h
-        elif value < 2 * h or (field == "Q" and min(value - Q_m, Q_M - value) < 2 * h):
-            # second-order one-sided: downwards near the top of the quota
-            # tube, upwards otherwise
-            side = -step if field == "Q" and Q_M - value < 2 * h else step
-            f0 = f(y)
-            J[:, j] = (4.0 * (f(y + side) - f0) - (f(y + 2 * side) - f0)) / (2 * side[j])
+        if quota_step:
+            q = p[i] / B[i]
+            reach = 3e-5 * q  # three steps move p/B by at most this much
+            lower, upper = abs(q - Q_m) <= reach, abs(q - Q_M) <= reach
+        if row == 0 and value == 0.0:
+            J[:, j] = (f0 - f(y - step)) / h
+            uptake = uptake_eta(1.0, 0.0, max(P[i], 0.0), params)
+            J[i, j] += params.r * (1.0 - Q_m / q_hat(params)) * growth_h(0.0, params)
+            J[Nx + i, j] += uptake
+            J[2 * Nx + i, j] -= uptake
+        elif value < 0.0:
+            J[:, j] = (f0 - f(y - step)) / h
+        elif quota_step and (lower or upper):
+            # p/B moves into the closed tube from within it and away from it
+            # from outside; p/B rises with p and falls with B
+            rise = (q >= Q_m) if lower else (q > Q_M)
+            J[:, j] = one_sided((1.0 if rise == (row == 1) else -1.0) * step)
+        elif value < 2 * h:
+            J[:, j] = one_sided(step)
         else:
             J[:, j] = (f(y + step) - f(y - step)) / (2 * h)
     return J
@@ -235,8 +258,8 @@ class TestExactJacobian:
         J = J.toarray()
         reference = difference_jacobian(y, grid, wind, params)
         Nx = grid.Nx
-        for a in range(4):
-            for b in range(4):
+        for a in range(3):
+            for b in range(3):
                 block = np.s_[a * Nx : (a + 1) * Nx, b * Nx : (b + 1) * Nx]
                 err = np.abs(J[block] - reference[block]).max()
                 size = max(np.abs(J[block]).max(), np.abs(J[a * Nx : (a + 1) * Nx]).max() * 1e-3)
@@ -325,6 +348,13 @@ class TestPureAdvection:
         assert masses[2] < 0.05 * masses[0]
 
 
+def assert_quota_is_cell_quota(traj):
+    # Q is not evolved: each sample carries the cell quota p/B exactly
+    for f in traj.fields:
+        live = f.B > EPS_B
+        assert np.array_equal(f.Q[live], f.p[live] / f.B[live])
+
+
 class TestIntegrate:
     def test_uniform_run_tracks_homogeneous_ode(self, params_case3):
         grid = build_grid(1000.0, 41)
@@ -363,9 +393,7 @@ class TestIntegrate:
         assert Q.min() >= p.Q_m - 1e-6 and Q.max() <= p.Q_M + 1e-6
         for name in ("B", "P", "p"):
             assert traj.array(name).min() > -1e-10
-        # under advection the redundant representations drift apart at the
-        # upwind truncation scale; only a loose agreement is meaningful
-        assert max(f.consistency_error() for f in traj.fields) < 1e-2
+        assert_quota_is_cell_quota(traj)
 
     def test_consistency_tight_in_still_water(self, params_case3):
         grid = build_grid(1000.0, 101)
@@ -373,7 +401,7 @@ class TestIntegrate:
         traj = integrate_1d(f0, grid, None, params_case3, 60.0,
                             rtol=1e-9, atol=1e-12,
                             sample_times=np.linspace(0, 60, 7))
-        assert max(f.consistency_error() for f in traj.fields) < 1e-6
+        assert_quota_is_cell_quota(traj)
 
     def test_grid_refinement_changes_little(self, params_case3):
         coarse = build_grid(1000.0, 51)
@@ -432,6 +460,37 @@ class TestIntegrate:
             traj.validate()
         assert info.value.t == 1.5
         assert np.array_equal(info.value.state, bad.stack())
+
+    def test_validate_checks_the_tube_only_above_the_floor(self, params_case3):
+        # the rule of Field2D.validate: below QUOTA_B_FLOOR, p/B carries
+        # the solver's error in B and p rather than a quota
+        f = Field1D.uniform(build_grid(100.0, 5), 2.0, 0.02, 0.2)
+        f.B[2] = QUOTA_B_FLOOR / 2
+        f.p[2] = 1e-3 * f.B[2]
+        f.validate(params_case3)
+        f.B[2] = 2 * QUOTA_B_FLOOR
+        with pytest.raises(ValueError, match="quota left"):
+            f.validate(params_case3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["B", "p", "P"])
+    def test_validate_rejects_non_finite_values(self, params_case3, name, bad):
+        f = Field1D.uniform(build_grid(100.0, 5), 2.0, 0.02, 0.2)
+        getattr(f, name)[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            f.validate(params_case3)
+
+    def test_extinction_front_under_wind(self):
+        # biomass 1e-9 upwind of the bump: the quota, derived from p and B,
+        # stays in its tube where the cells are alive, and p stays >= 0
+        grid = build_grid(1000.0, 101)
+        bump = Field1D.bump(grid, P0=2.0)
+        B = np.where(grid.x < 300.0, 1e-9, bump.B)
+        f0 = Field1D(B, np.full(grid.Nx, 0.02), bump.P, 0.02 * B)
+        traj = integrate_1d(f0, grid, SyntheticWind(40.0, 9.0), default_params(r=1.0, P_h=2.0),
+                            60.0)
+        traj.validate()
+        assert traj.times[-1] == 60.0
 
     def test_integrator_failure_carries_diagnostics(self, params_case3):
         grid = build_grid(500.0, 11)

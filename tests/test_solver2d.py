@@ -237,7 +237,7 @@ def be_residual(U_n, U, dt, t_next, mesh, wind, params):
     rates = _reaction_kernel(U.B, U.p, U.P, params).rates
     F = np.stack([m * (u - u0) + dt * (Li @ u - m * R)
                   for u, u0, Li, R in zip(new, old, L, rates)])
-    return np.linalg.norm(F), max(1.0, *(float(np.linalg.norm(m * u)) for u in old))
+    return np.linalg.norm(F), max(1.0, *(float(np.linalg.norm(m * u)) for u in old + new))
 
 
 def accepted_solves(U_n, dt, mesh, wind, params):
@@ -324,6 +324,22 @@ class TestRobustness:
         for U_n, step, t_next, U in solves:
             res, scale = be_residual(U_n, U, step, t_next, mesh, wind, params)
             assert res <= 1e-12 * scale
+
+    @pytest.mark.parametrize("P_in, D, dt", [
+        (3.0, 0.125, 3.0), (3.0, 0.125, 1.0), (1.0, 0.5, 4.0), (0.3, 0.02, 4.0),
+    ])
+    def test_step_from_zero_fields_is_not_halved(self, lake_114, P_in, D, dt):
+        # a source-fed step from empty fields: Newton's stopping test scales
+        # with the iterate, not only with the zero start (an absolute 1e-12
+        # against residual terms of order m P ~ 1e3); with the old-state
+        # scale alone the first draw raised NewtonError after three levels
+        # of half steps
+        params = default_params(r=1.0, P_h=0.0, alpha=0.0, beta=0.0, beta_B=0.0,
+                                beta_P=0.0, z_m=0.5, P_in=P_in, D=D)
+        zero = np.zeros(lake_114.n_nodes)
+        snaps = simulate_2d(Field2D(zero, zero, zero), lake_114, None, params, dt=dt,
+                            t_end=dt, output_times=[dt])
+        assert snaps.half_step_retries == 0
 
     @pytest.mark.parametrize("wind", ["wind_sample.csv", SyntheticWind(2000.0, 9.0)],
                              ids=["wind_sample", "synthetic_2000"])
@@ -472,6 +488,14 @@ class TestSimulate:
             snaps.validate()
         assert info.value.t == 4.0
         assert np.array_equal(info.value.state, bad.stack())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["B", "p", "P"])
+    def test_validate_rejects_non_finite_values(self, lake, params_case3, name, bad):
+        field = Field2D.uniform(lake, 1.0, 0.02, 0.2)
+        getattr(field, name)[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            field.validate(params_case3)
 
     def test_output_times_validated(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.2)

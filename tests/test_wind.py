@@ -2,6 +2,7 @@
 
 import io
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,12 @@ class TestParse:
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least 2"):
             parse_wind_records(csv_stream(["0,1,0"]))
+
+    @pytest.mark.parametrize("source", ["configs/wind_sample.csv",
+                                        Path("configs/wind_sample.csv")])
+    def test_path_is_a_type_error(self, source):
+        with pytest.raises(TypeError, match="open text stream"):
+            parse_wind_records(source)
 
     def test_missing_header(self):
         with pytest.raises(ValueError, match="header"):
