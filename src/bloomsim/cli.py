@@ -225,16 +225,15 @@ def _run_ode(config, params, out_dir, seed, threads, base_dir):
     ]
     traj_path = out_dir / "trajectory.csv"
     export_csv(rows, ["t", "B", "p", "P", "Q"], traj_path)
-    final = traj.final_state()
+    final = HomState(*np.maximum(traj.y[:, -1], 0.0))
     final_path = out_dir / "final_state.csv"
     export_csv(
         [(final.B, final.p, final.P, final.quota(params), r0(params))],
         ["B", "p", "P", "Q", "R0"],
         final_path,
     )
-    counters = {key: getattr(traj, key) for key in ("nfev", "njev", "nlu")}
     return [traj_path, final_path], {"final_state": [final.B, final.p, final.P],
-                                     "counters": counters}
+                                     "counters": traj.counters}
 
 
 def _run_stability(config, params, out_dir, seed, threads, base_dir):
@@ -276,8 +275,8 @@ def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
     traj = integrate_1d(initial, grid, wind, params, t_end, rtol=rtol, atol=atol,
                         sample_times=sample_times)
     sol_path = out_dir / "solution.csv"
-    write_trajectory_csv(traj, sol_path)
-    B_final = traj.fields[-1].B
+    write_trajectory_csv(traj, grid, sol_path)
+    B_final = traj.B[:, -1]
     extinct = bool(np.abs(B_final).max() < 1e-3 * np.abs(initial.B).max())
     print(f"extinction: {'true' if extinct else 'false'}")
     summary_path = out_dir / "summary.csv"
@@ -286,8 +285,7 @@ def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
         ["t_end", "B_max", "B_min", "extinction"],
         summary_path,
     )
-    counters = {key: getattr(traj, key) for key in ("nfev", "njev", "nlu")}
-    return [sol_path, summary_path], {"extinction": extinct, "counters": counters}
+    return [sol_path, summary_path], {"extinction": extinct, "counters": traj.counters}
 
 
 def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
@@ -315,17 +313,16 @@ def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
     snaps = simulate_2d(initial, mesh, wind, params, dt, t_end, output_times)
     outputs = []
     manifest_rows = []
-    for t, fld in zip(snaps.times, snaps.fields):
+    for i, t in enumerate(snaps.t):
         name = f"state_t{t:08.2f}.vtk"
-        write_vtk(fld, mesh, out_dir / name, params, title=f"lake state at t={t:g} d")
+        write_vtk(Field2D(*snaps.y[..., i]), mesh, out_dir / name, params,
+                  title=f"lake state at t={t:g} d")
         outputs.append(out_dir / name)
         manifest_rows.append((float(t), name))
     index_path = out_dir / "snapshots.csv"
     export_csv(manifest_rows, ["t", "filename"], index_path)
     outputs.append(index_path)
-    counters = {key: getattr(snaps, key)
-                for key in ("newton_iterations", "linear_iterations", "half_step_retries")}
-    return outputs, {"n_snapshots": len(manifest_rows), "counters": counters}
+    return outputs, {"n_snapshots": len(manifest_rows), "counters": snaps.counters}
 
 
 def _run_sobol(config, params, out_dir, seed, threads, base_dir):
@@ -362,6 +359,7 @@ def _run_sobol(config, params, out_dir, seed, threads, base_dir):
     return [report_path], {
         "ranking": [k for k, _ in ranking],
         "n_failed_blocks": report.n_failed_blocks,
+        "row_failures": report.failures,
     }
 
 

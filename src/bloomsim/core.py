@@ -371,40 +371,69 @@ def b_bar(params: ModelParams) -> float:
     return (growth_ceiling - params.K_bg) / params.k
 
 
-def _quota(B, p, params: ModelParams):
-    """Cell quota p/B, or q_hat(params) wherever B <= EPS_B.
+def _quota(B, p, params: ModelParams, floor: float = EPS_B):
+    """Cell quota p/B, or q_hat(params) wherever B <= ``floor``.
 
     The one home of the extinction fallback (p/B is 0/0 there), in a
-    scalar form for the hot homogeneous kernels and a nodewise form.
+    scalar form for the hot homogeneous kernels and a nodewise form.  The
+    reaction kernel takes it at EPS_B; sampled nodal fields report it at
+    :data:`QUOTA_B_FLOOR`, below which p/B is solver noise.
     """
     if isinstance(B, np.ndarray):
-        return np.where(B > EPS_B, p / np.maximum(B, EPS_B), q_hat(params))
-    return p / B if B > EPS_B else q_hat(params)
+        return np.where(B > floor, p / np.maximum(B, floor), q_hat(params))
+    return p / B if B > floor else q_hat(params)
 
 
-#: Tube checks of the transect and lake fields apply only above this biomass.
-#: The solvers control their error relative to the size of the whole field,
-#: which permits nodal errors in B and p of ~1e-10 on the bundled runs; below
-#: this floor those could move p/B by more than the tube's 1e-6 tolerance.
+#: Tube checks and reported quotas of the transect and lake fields apply only
+#: above this biomass.  The solvers control their error relative to the size
+#: of the whole field, which permits nodal errors in B and p of ~1e-10 on the
+#: bundled runs; below this floor those could move p/B by more than the
+#: tube's 1e-6 tolerance.
 QUOTA_B_FLOOR = 1e-6
 
 
-def _check_fields(B, p, P, params: ModelParams) -> None:
-    """Raise ValueError unless the nodal arrays are finite and >= -1e-10,
-    and p/B lies in [Q_m, Q_M] (to 1e-6) wherever B > QUOTA_B_FLOOR.
+def _sample_floor(y: np.ndarray) -> float:
+    """The quota floor of samples ``y`` with rows (B, p, P) first and samples
+    last: EPS_B for a homogeneous (3, nt) trajectory, whose states BDF
+    controls directly, and QUOTA_B_FLOOR for nodal (3, n, nt) samples."""
+    return EPS_B if y.ndim == 2 else QUOTA_B_FLOOR
 
-    The one validation rule of the transect and lake fields; the finiteness
-    check comes first, because the comparisons below are false on NaN.
+
+def _tube_violation(y: np.ndarray, params: ModelParams) -> tuple[int, str] | None:
+    """The one validation rule of sampled solutions, vectorised over samples.
+
+    ``y`` has rows (B, p, P) first and samples last, (3, nt) or (3, n, nt).
+    A sample passes when every value is finite and >= -1e-10, and p/B lies
+    in [Q_m, Q_M] (to 1e-6) wherever B exceeds :func:`_sample_floor`.
+    Returns the index of the first failing sample and what it broke, or
+    None.  Finiteness is judged first, because the comparisons are false
+    on NaN.
     """
-    if not all(np.isfinite(a).all() for a in (B, p, P)):
-        raise ValueError("non-finite state")
-    if min(B.min(), p.min(), P.min()) < -1e-10:
-        raise ValueError("negative state beyond tolerance")
-    mask = B > QUOTA_B_FLOOR
-    if mask.any():
-        q = p[mask] / B[mask]
-        if q.min() < params.Q_m - 1e-6 or q.max() > params.Q_M + 1e-6:
-            raise ValueError("cell quota left the [Q_m, Q_M] tube")
+    B, p = y[0], y[1]
+    finite = np.isfinite(y).all(axis=0)
+    live = finite & (B > _sample_floor(y))
+    q = np.divide(p, B, out=np.zeros(B.shape), where=live)
+    checks = (
+        ("non-finite state", ~finite),
+        ("negative state beyond tolerance", (y < -1e-10).any(axis=0)),
+        ("cell quota left the [Q_m, Q_M] tube",
+         live & ((q < params.Q_m - 1e-6) | (q > params.Q_M + 1e-6))),
+    )
+    # one flag per sample and check: the nodes of each sample collapse
+    flags = [bad.reshape(-1, bad.shape[-1]).any(axis=0) for _, bad in checks]
+    failed = np.flatnonzero(np.logical_or.reduce(flags))
+    if not failed.size:
+        return None
+    i = int(failed[0])
+    return i, next(message for (message, _), flag in zip(checks, flags) if flag[i])
+
+
+def _check_fields(B, p, P, params: ModelParams) -> None:
+    """Raise ValueError unless the nodal arrays, as one sample, pass
+    :func:`_tube_violation`: the validation of the transect and lake fields."""
+    failure = _tube_violation(np.stack([B, p, P])[..., None], params)
+    if failure is not None:
+        raise ValueError(failure[1])
 
 
 class _Reactions(NamedTuple):

@@ -25,7 +25,7 @@ dp + dP = P_in > 0, and no equilibrium exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,8 @@ from .core import (
     _growth_h,
     _quota,
     _rho_tilde,
+    _sample_floor,
+    _tube_violation,
     q_hat,
     r0,
     reaction_jacobian,
@@ -50,7 +52,7 @@ from .core import (
 __all__ = [
     "IntegrationError",
     "ConvergenceError",
-    "HomTrajectory",
+    "Trajectory",
     "extinction_state",
     "integrate_homogeneous",
     "find_equilibrium",
@@ -80,20 +82,22 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class HomTrajectory:
-    """Sampled solution of the homogeneous system.
+class Trajectory:
+    """Sampled solution of the homogeneous ODE, the transect or the lake.
 
-    ``nfev``, ``njev`` and ``nlu`` are the integrator's counts of
-    right-hand-side evaluations, Jacobian evaluations and LU
-    factorizations; they stay zero for a trajectory built by hand.
+    ``y`` is the solver's own array, rows (B, p, P) first and samples last:
+    (3, nt) for the well-mixed system and (3, n, nt) for the n nodes of the
+    transect or the lake, sampled at the times ``t``.  ``counters`` is the
+    solver's work, as the run manifests write it: the BDF integrator's
+    ``nfev``, ``njev`` and ``nlu``, or the lake's ``newton_iterations``,
+    ``linear_iterations`` and ``half_step_retries``; it is empty for a
+    trajectory built by hand.
     """
 
-    t: np.ndarray          # (nt,)
-    y: np.ndarray          # (3, nt) rows B, p, P
+    t: np.ndarray
+    y: np.ndarray
     params: ModelParams
-    nfev: int = 0
-    njev: int = 0
-    nlu: int = 0
+    counters: dict = field(default_factory=dict)
 
     @property
     def B(self) -> np.ndarray:
@@ -108,41 +112,20 @@ class HomTrajectory:
         return self.y[2]
 
     def quota(self) -> np.ndarray:
-        """Cell quota p/B along the trajectory, q_hat where B has vanished."""
-        return _quota(self.B, self.p, self.params)
-
-    def final_state(self) -> HomState:
-        B, p, P = np.maximum(self.y[:, -1], 0.0)
-        return HomState(B, p, P)
+        """Cell quota p/B at every sample, q_hat where B is at or below the
+        floor of :meth:`validate` (EPS_B for the ODE, QUOTA_B_FLOOR for
+        nodal samples)."""
+        return _quota(self.B, self.p, self.params, _sample_floor(self.y))
 
     def validate(self) -> None:
         """Check finiteness, positivity (to 1e-10) and the quota tube (to
-        1e-6) at every sample; the :class:`IntegrationError` names the first
-        failing sample's time and state."""
-        finite = np.isfinite(self.y).all(axis=0)
-        negative = (self.y < -1e-10).any(axis=0)
-        # the quota of finite samples only: p/B of infinities is NaN
-        outside = np.zeros_like(finite)
-        q = _quota(self.B[finite], self.p[finite], self.params)
-        outside[finite] = (q < self.params.Q_m - 1e-6) | (q > self.params.Q_M + 1e-6)
-        failed = np.flatnonzero(~finite | negative | outside)
-        if failed.size:
-            i = failed[0]
-            message = ("non-finite state" if not finite[i]
-                       else "negative state beyond tolerance" if negative[i]
-                       else "cell quota left [Q_m, Q_M] tube")
-            raise IntegrationError(message, float(self.t[i]), self.y[:, i])
-
-
-def _validate_samples(times, fields, params: ModelParams) -> None:
-    """``validate(params)`` of each sampled field (a ``Field1D`` or
-    ``Field2D``); the first failure is raised as an :class:`IntegrationError`
-    with that sample's time and flat state."""
-    for t, f in zip(times, fields):
-        try:
-            f.validate(params)
-        except ValueError as exc:
-            raise IntegrationError(str(exc), float(t), f.stack()) from exc
+        1e-6) at every sample, by the one rule of :func:`core._tube_violation`;
+        the :class:`IntegrationError` names the first failing sample's time
+        and flat (B, p, P) state."""
+        failure = _tube_violation(self.y, self.params)
+        if failure is not None:
+            i, message = failure
+            raise IntegrationError(message, float(self.t[i]), self.y[..., i].ravel())
 
 
 class _RawState(NamedTuple):
@@ -192,6 +175,12 @@ def _solve_bdf(fun, jac, y0, t_end, rtol, atol, t_eval, args=None, convert=()):
     return sol
 
 
+def _bdf_counters(sol) -> dict:
+    """The integrator's counts of right-hand-side evaluations, Jacobian
+    evaluations and LU factorizations."""
+    return {"nfev": sol.nfev, "njev": sol.njev, "nlu": sol.nlu}
+
+
 def integrate_homogeneous(
     initial: HomState,
     params: ModelParams,
@@ -199,12 +188,12 @@ def integrate_homogeneous(
     rtol: float = 1e-8,
     atol: float = 1e-11,
     t_eval: np.ndarray | None = None,
-) -> HomTrajectory:
+) -> Trajectory:
     """Integrate the movement-free system from ``initial`` to ``t_end``.
 
     Uses the adaptive implicit BDF scheme with the analytic Jacobian.  The
-    returned trajectory is checked against positivity and the quota tube
-    (see :meth:`HomTrajectory.validate`).
+    returned (3, nt) trajectory is checked against positivity and the quota
+    tube (see :meth:`Trajectory.validate`).
 
     Raises
     ------
@@ -220,7 +209,7 @@ def integrate_homogeneous(
         t_eval = np.linspace(0.0, t_end, 201)
     sol = _solve_bdf(_rhs_flat, _jac_flat, initial.as_array(), t_end, rtol, atol,
                      np.asarray(t_eval, dtype=float), args=(params,))
-    traj = HomTrajectory(sol.t, sol.y, params, sol.nfev, sol.njev, sol.nlu)
+    traj = Trajectory(sol.t, sol.y, params, _bdf_counters(sol))
     traj.validate()
     return traj
 

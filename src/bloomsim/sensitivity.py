@@ -197,6 +197,7 @@ class SensitivityReport:
     N: int
     n_failed_blocks: int = 0
     flags: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)  # (row, message) of each failed row
 
     @property
     def n_bins(self) -> int:
@@ -232,15 +233,14 @@ def _evaluate_row(args):
             sample_times=times,
             validate=False,
         )
-        B = traj.array("B")  # (n_samples, Nx)
         edges = problem.bin_edges()
         out = np.empty((len(edges) - 1, problem.Nx))
         for b in range(len(edges) - 1):
             last = b == len(edges) - 2
-            mask = (traj.times >= edges[b]) & (
-                traj.times <= edges[b + 1] if last else traj.times < edges[b + 1]
+            mask = (traj.t >= edges[b]) & (
+                traj.t <= edges[b + 1] if last else traj.t < edges[b + 1]
             )
-            out[b] = B[mask].mean(axis=0)
+            out[b] = traj.B[:, mask].mean(axis=1)
         return index, out.ravel(), None
     except Exception as exc:  # noqa: BLE001 - row failures are data, not bugs
         return index, None, f"{type(exc).__name__}: {exc}"
@@ -257,6 +257,8 @@ def run_sensitivity(
     Individual solver failures invalidate their whole Saltelli block (the
     same base sample across A, B, and every cross matrix) to keep the
     estimators unbiased; more than 1% failed rows aborts with a report.
+    Below that, each failed row and its message are kept in the report's
+    ``failures``.
     The reduction is deterministic for fixed (problem, N, seed) regardless
     of worker scheduling.
     """
@@ -318,6 +320,7 @@ def run_sensitivity(
         N=int(keep.sum()),
         n_failed_blocks=len(failed_blocks),
         flags=flags,
+        failures=failures,
     )
 
 

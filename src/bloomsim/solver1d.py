@@ -18,9 +18,10 @@ Time integration uses the adaptive implicit BDF scheme with the exact
 sparse Jacobian: three-by-three blocks of tridiagonal bands, assembled into
 a fixed CSC pattern.  BDF calls :func:`rhs_1d` and the Jacobian directly on
 its flat (3 Nx,) state, with the ``solve_ivp`` argument order
-``(t, y, grid, wind, params)``; :class:`Field1D` is the type of initial
-fields and samples.  Trajectories export as long-format CSV with 17
-significant digits, one block write per sample.
+``(t, y, grid, wind, params)``.  :class:`Field1D` is the type of initial
+fields; the samples come back as one (3, Nx, nt)
+:class:`~bloomsim.ode.Trajectory`, which exports as long-format CSV with
+17 significant digits, one block write per sample.
 """
 
 from __future__ import annotations
@@ -32,15 +33,13 @@ import numpy as np
 from scipy.sparse import csc_matrix, diags, kron
 
 from ._textio import write_rows
-from .core import ModelParams, _check_fields, _quota, _reaction_kernel
-from .ode import _solve_bdf, _validate_samples
+from .core import ModelParams, _check_fields, _reaction_kernel
+from .ode import Trajectory, _bdf_counters, _solve_bdf
 from .wind import as_wind
 
 __all__ = [
     "Grid1D",
     "Field1D",
-    "Trajectory1D",
-    "build_grid",
     "rhs_1d",
     "integrate_1d",
     "write_trajectory_csv",
@@ -69,19 +68,12 @@ class Grid1D:
         return np.linspace(0.0, self.L, self.Nx)
 
 
-def build_grid(L: float, Nx: int) -> Grid1D:
-    """Uniform grid with node i at i * L/(Nx-1)."""
-    return Grid1D(L, Nx)
-
-
 @dataclass
 class Field1D:
-    """Nodal state arrays of the transect model.
+    """Nodal state arrays of the transect model, the type of its initial fields.
 
-    The solver evolves (B, p, P); Q is the cell quota p/B that it fills
-    into each sample.  In an initial field Q only sets p = Q B, through
-    :meth:`uniform` and :meth:`bump`: the solver starts from
-    :meth:`stack`, which holds no Q.
+    The solver evolves (B, p, P) and starts from :meth:`stack`, which holds
+    no Q: Q only sets p = Q B, through :meth:`uniform` and :meth:`bump`.
     """
 
     B: np.ndarray
@@ -128,16 +120,11 @@ class Field1D:
         """The flat (3 Nx,) solver state, rows (B, p, P)."""
         return np.concatenate([self.B, self.p, self.P])
 
-    @classmethod
-    def unstack(cls, y: np.ndarray, params: ModelParams) -> "Field1D":
-        """The field of a flat solver state, with Q its cell quota."""
-        B, p, P = y.reshape(3, -1)
-        return cls(B, _quota(B, p, params), P, p)
-
     def validate(self, params: ModelParams) -> None:
         """Finite values, positivity everywhere (to 1e-10), and the quota
         tube (to 1e-6) on p/B where B > QUOTA_B_FLOOR: the rule of
-        :meth:`~bloomsim.solver2d.Field2D.validate`.  Q is not read."""
+        :meth:`~bloomsim.ode.Trajectory.validate` for one sample.  Q is not
+        read."""
         _check_fields(self.B, self.p, self.P, params)
 
 
@@ -252,34 +239,6 @@ def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParam
                       shape=pattern.shape)
 
 
-@dataclass(frozen=True)
-class Trajectory1D:
-    """Sampled transect solution: fields[i] at times[i].
-
-    ``nfev``, ``njev`` and ``nlu`` are the integrator's counts of
-    right-hand side evaluations, Jacobian evaluations and LU
-    factorizations.
-    """
-
-    times: np.ndarray
-    fields: list
-    grid: Grid1D
-    params: ModelParams
-    nfev: int = 0
-    njev: int = 0
-    nlu: int = 0
-
-    def array(self, name: str) -> np.ndarray:
-        """(n_samples, Nx) array of one component."""
-        return np.stack([getattr(f, name) for f in self.fields])
-
-    def validate(self) -> None:
-        """:meth:`Field1D.validate` at every sample; the first failure is
-        raised as an :class:`~bloomsim.ode.IntegrationError` with that
-        sample's time and flat state."""
-        _validate_samples(self.times, self.fields, self.params)
-
-
 def integrate_1d(
     initial: Field1D,
     grid: Grid1D,
@@ -290,10 +249,11 @@ def integrate_1d(
     atol: float = 1e-10,
     sample_times: np.ndarray | None = None,
     validate: bool = True,
-) -> Trajectory1D:
+) -> Trajectory:
     """Integrate the transect model to ``t_end`` with samples on request.
 
-    BDF gets the exact sparse Jacobian of the right-hand side.
+    BDF gets the exact sparse Jacobian of the right-hand side.  The
+    returned trajectory's ``y`` is a (3, Nx, nt) view of BDF's samples.
 
     Raises
     ------
@@ -302,7 +262,7 @@ def integrate_1d(
         or the initial field does not match the grid.
     IntegrationError
         On stiffness failure, carrying the last reached state, or when
-        ``validate`` is set and a sample fails :meth:`Field1D.validate`.
+        ``validate`` is set and a sample fails :meth:`Trajectory.validate`.
     """
     if initial.B.size != grid.Nx:
         raise ValueError("initial field does not match the grid")
@@ -314,22 +274,24 @@ def integrate_1d(
     # IntegrationError
     sol = _solve_bdf(rhs_1d, _jacobian_1d, initial.stack(), t_end, rtol, atol, sample_times,
                      args=(grid, as_wind(wind), params), convert=(RuntimeError, ValueError))
-    fields = [Field1D.unstack(sol.y[:, i], params) for i in range(sol.t.size)]
-    traj = Trajectory1D(sol.t, fields, grid, params, sol.nfev, sol.njev, sol.nlu)
+    traj = Trajectory(sol.t, sol.y.reshape(3, grid.Nx, -1), params, _bdf_counters(sol))
     if validate:
         traj.validate()
     return traj
 
 
-def write_trajectory_csv(traj: Trajectory1D, path) -> None:
+def write_trajectory_csv(traj: Trajectory, grid: Grid1D, path) -> None:
     """Long-format export: one row per (t, x) with B, Q, P, p columns.
 
-    Values carry 17 significant digits (round-trip exact) and rows end in
+    Q is :meth:`Trajectory.quota`, q_hat where B <= QUOTA_B_FLOOR.  Values
+    carry 17 significant digits (round-trip exact) and rows end in
     ``\\r\\n``, the csv module's default dialect; each sample is written
     as one block.
     """
-    x = traj.grid.x
+    x = grid.x
+    Q = traj.quota()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,x,B,Q,P,p\r\n")
-        for t, f in zip(traj.times, traj.fields):
-            write_rows(fh, np.column_stack([np.full(x.size, t), x, f.B, f.Q, f.P, f.p]), ",", "\r\n")
+        for i, t in enumerate(traj.t):
+            write_rows(fh, np.column_stack([np.full(x.size, t), x, traj.B[:, i], Q[:, i],
+                                            traj.P[:, i], traj.p[:, i]]), ",", "\r\n")

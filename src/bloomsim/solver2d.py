@@ -35,10 +35,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .core import QUOTA_B_FLOOR  # noqa: F401  (the tube floor stays importable from here)
-from .core import ModelParams, _check_fields, _quota, _reaction_kernel
+from .core import QUOTA_B_FLOOR, ModelParams, _check_fields, _quota, _reaction_kernel
 from .mesh import TriMesh
-from .ode import _validate_samples
+from .ode import Trajectory
 from .wind import as_wind
 
 __all__ = [
@@ -120,16 +119,18 @@ class Field2D:
         return np.concatenate([self.B, self.p, self.P])
 
     def quota(self, params: ModelParams) -> np.ndarray:
-        """Pointwise p/B, with q_hat where biomass has numerically vanished."""
-        return _quota(self.B, self.p, params)
+        """Pointwise p/B, with q_hat where B <= QUOTA_B_FLOOR, below which
+        p/B is solver noise rather than a quota."""
+        return _quota(self.B, self.p, params, QUOTA_B_FLOOR)
 
     def validate(self, params: ModelParams) -> None:
         """Finite values, positivity everywhere (to 1e-10), and the quota
         tube (to 1e-6) where biomass is alive.
 
-        The tube check masks nodes below :data:`QUOTA_B_FLOOR`: underneath
-        it the errors that Newton's stopping test permits in B and p could
-        move p/B by more than the tolerance.
+        The tube check masks nodes below :data:`~bloomsim.core.QUOTA_B_FLOOR`:
+        underneath it the errors that Newton's stopping test permits in B
+        and p could move p/B by more than the tolerance.  The rule is that of
+        :meth:`~bloomsim.ode.Trajectory.validate` for one sample.
         """
         _check_fields(self.B, self.p, self.P, params)
 
@@ -340,30 +341,6 @@ def _cell_peclet(h: float, wind_speed: float, params: ModelParams) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class Snapshots2D:
-    """Fields captured at the requested output times.
-
-    The counters sum the Newton work of all steps, half-step retries
-    included: Newton iterations (one GMRES solve each), GMRES inner
-    iterations, and steps that fell back to two half steps.
-    """
-
-    times: np.ndarray
-    fields: list
-    mesh: TriMesh
-    params: ModelParams
-    newton_iterations: int = 0
-    linear_iterations: int = 0
-    half_step_retries: int = 0
-
-    def validate(self) -> None:
-        """:meth:`Field2D.validate` at every sample; the first failure is
-        raised as an :class:`~bloomsim.ode.IntegrationError` with that
-        sample's time and flat state."""
-        _validate_samples(self.times, self.fields, self.params)
-
-
 def simulate_2d(
     initial: Field2D,
     mesh: TriMesh,
@@ -373,8 +350,13 @@ def simulate_2d(
     t_end: float,
     output_times,
     validate: bool = True,
-) -> Snapshots2D:
+) -> Trajectory:
     """March the lake model to ``t_end``, storing the requested snapshots.
+
+    Returns them as one (3, n_nodes, n_snapshots) :class:`Trajectory` whose
+    counters sum the Newton work of all steps, half-step retries included:
+    Newton iterations (one GMRES solve each), GMRES inner iterations, and
+    steps that fell back to two half steps.
 
     The wind is re-evaluated at the end time of every step.  Steps of size
     ``dt`` are shortened where needed to land exactly on each output time.
@@ -392,10 +374,10 @@ def simulate_2d(
     peclet_warned = False
     stats = _NewtonStats()
 
-    snapshots: list[Field2D] = []
+    snapshots: list[np.ndarray] = []
     taken: list[float] = []
     if output_times[0] == 0.0:
-        snapshots.append(Field2D(initial.B.copy(), initial.p.copy(), initial.P.copy()))
+        snapshots.append(np.stack([initial.B, initial.p, initial.P]))
         taken.append(0.0)
 
     t = 0.0
@@ -415,10 +397,10 @@ def simulate_2d(
                     peclet_warned = True
             U = newton_be_step(U, step, t_next, mesh, wind_fn, params, _stats=stats)
             t = t_next
-        snapshots.append(U)
+        snapshots.append(np.stack([U.B, U.p, U.P]))
         taken.append(t)
 
-    result = Snapshots2D(np.array(taken), snapshots, mesh, params, **asdict(stats))
+    result = Trajectory(np.array(taken), np.stack(snapshots, axis=-1), params, asdict(stats))
     if validate:
         result.validate()
     return result

@@ -53,7 +53,8 @@ def test_count_sites_are_entered(monkeypatch):
     hom = integrate_homogeneous(HomState(5.0, 0.1, 0.15), params, 10.0)
     grid = Grid1D(100.0, 11)
     traj = integrate_1d(Field1D.uniform(grid, 5.0, 0.02, 0.15), grid, None, params, 1.0)
-    assert counts == {"solver1d.rhs_1d": traj.nfev, "core.reaction_rhs": hom.nfev}, counts
+    assert counts == {"solver1d.rhs_1d": traj.counters["nfev"],
+                      "core.reaction_rhs": hom.counters["nfev"]}, counts
     assert all(counts.values()), counts
 
 

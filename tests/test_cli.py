@@ -3,11 +3,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bloomsim.ode
+import bloomsim.sensitivity
 import bloomsim.solver1d
 from bloomsim.cli import ConfigError, export_csv, load_config, main, run_config
+from bloomsim.core import QUOTA_B_FLOOR, default_params, q_hat
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -147,6 +150,18 @@ class TestSubcommands:
         assert summary[1].split(",")[-1] == "true"
         assert (out / "solution.csv").exists()
 
+    def test_sim1d_extinction_config_writes_quota_in_tube(self, tmp_path):
+        # at nodes with B <= QUOTA_B_FLOOR the Q column is q_hat, not the
+        # solver noise p/B (which read 2.3e-3 < Q_m at two nodes at t = 1000)
+        out = tmp_path / "out"
+        config = CONFIGS_DIR / "sim1d_extinction.json"
+        assert main(["sim1d", "--config", str(config), "--out", str(out)]) == 0
+        table = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+        params = default_params(r=1.0, P_h=0.0)
+        Q = table[:, 3]
+        assert np.all((Q >= params.Q_m) & (Q <= params.Q_M))
+        assert np.all(Q[table[:, 2] <= QUOTA_B_FLOOR] == q_hat(params))
+
     def test_sim1d_manifest_counters_match_rhs_calls(self, tmp_path, monkeypatch):
         calls = []
 
@@ -207,6 +222,27 @@ class TestSubcommands:
         run_config(path, "sobol", out1, seed=42)
         run_config(path, "sobol", out2, seed=42)
         assert (out1 / "sobol_indices.csv").read_bytes() == (out2 / "sobol_indices.csv").read_bytes()
+        assert json.loads((out1 / "manifest.json").read_text())["row_failures"] == []
+
+    def test_sobol_manifest_records_row_failures(self, tmp_path, monkeypatch):
+        calls = []
+
+        def third_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("injected failure")
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", third_fails)
+        path = write_config(tmp_path, {
+            "params": {"r": 1.0, "P_h": 2.0},
+            "sobol": {"N": 16, "Nx": 11, "horizon": 20.0, "bin_days": 10.0, "sample_every": 5.0},
+        })
+        out = tmp_path / "out"
+        run_config(path, "sobol", out, seed=42)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["row_failures"] == [[2, "RuntimeError: injected failure"]]
+        assert manifest["n_failed_blocks"] == 1
 
     def test_manifest_hash_stable_and_config_echoed(self, tmp_path):
         body = {"params": CASE2, "stability": {"n_max": 3}}

@@ -12,10 +12,19 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import bloomsim.ode
-from bloomsim.core import DomainError, HomState, b_bar, default_params, r0, reaction_rhs
+from bloomsim.core import (
+    EPS_B,
+    QUOTA_B_FLOOR,
+    DomainError,
+    HomState,
+    b_bar,
+    default_params,
+    r0,
+    reaction_rhs,
+)
 from bloomsim.ode import (
-    HomTrajectory,
     IntegrationError,
+    Trajectory,
     _equilibrium_biomass,
     _equilibrium_quota,
     extinction_state,
@@ -81,11 +90,10 @@ class TestIntegrateHomogeneous:
     def test_case3_reaches_reported_equilibrium(self, params_case3):
         start = HomState(5.0, 5.0 * 0.02, 0.15)
         traj = integrate_homogeneous(start, params_case3, 4000.0, rtol=1e-10, atol=1e-12)
-        final = traj.final_state()
-        for got, want in zip((final.B, final.p, final.P), U_STAR):
+        for got, want in zip(traj.y[:, -1], U_STAR):
             assert abs(got - want) / want < 0.01
         # equivalently (B, Q, P) = (16.2785, 0.0118, 0.0080)
-        assert final.quota(params_case3) == pytest.approx(0.0118, rel=0.01)
+        assert traj.quota()[-1] == pytest.approx(0.0118, rel=0.01)
 
     def test_case2_biomass_dies_out(self, params_case2):
         start = HomState(5.0, 5.0 * 0.02, 0.15)
@@ -143,25 +151,58 @@ class TestIntegrateHomogeneous:
         with pytest.raises(ValueError, match="must be positive"):
             integrate_homogeneous(HomState(1.0, 0.02, 0.1), params_case2, t_end, **tolerances)
 
-    def test_validate_reports_first_failing_sample(self, params_case3):
-        t = np.arange(11.0)
-        y = np.tile([[2.0], [0.04], [0.1]], t.size)
-        y[1, 3] = -1e-6
-        with pytest.raises(IntegrationError, match="negative state") as info:
-            HomTrajectory(t, y, params_case3).validate()
-        assert info.value.t == 3.0
-        assert np.array_equal(info.value.state, y[:, 3])
+
+# the three sampled-solution shapes: the nodes between the (B, p, P) rows
+# and the samples, none for the well-mixed ODE
+SAMPLE_NODES = {"ode": (), "transect": (5,), "lake": (7,)}
 
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("component", range(3))
-    def test_validate_rejects_non_finite_samples(self, params_case3, component, bad):
-        t = np.arange(4.0)
-        y = np.tile([[2.0], [0.04], [0.1]], t.size)
-        y[component, 2] = bad
-        with pytest.raises(IntegrationError, match="non-finite") as info:
-            HomTrajectory(t, y, params_case3).validate()
-        assert info.value.t == 2.0
+def _samples(nodes):
+    # six valid samples (B, p, P) = (2, 0.04, 0.1), quota 0.02, 1.5 days apart
+    t = 1.5 * np.arange(6.0)
+    y = np.empty((3, *nodes, t.size))
+    y[0], y[1], y[2] = 2.0, 0.04, 0.1
+    return t, y
+
+
+def _set(y, row, sample, value):
+    # one value of ``row`` at ``sample``, at the middle node of nodal samples
+    y[(row, *(n // 2 for n in y.shape[1:-1]), sample)] = value
+
+
+@pytest.mark.parametrize("bad, match", [
+    (-1e-6, "negative state"), (np.nan, "non-finite"), (np.inf, "non-finite"),
+    (-np.inf, "non-finite"),
+], ids=["negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", range(3), ids=["B", "p", "P"])
+@pytest.mark.parametrize("kind", SAMPLE_NODES)
+def test_validate_reports_first_failing_sample(params_case3, kind, row, bad, match):
+    t, y = _samples(SAMPLE_NODES[kind])
+    _set(y, row, 2, bad)
+    _set(y, row, 4, bad)
+    with pytest.raises(IntegrationError, match=match) as info:
+        Trajectory(t, y, params_case3).validate()
+    assert info.value.t == 3.0
+    assert np.array_equal(info.value.state, y[..., 2].ravel(), equal_nan=True)
+
+
+@pytest.mark.parametrize("quota", [1e-3, 0.5], ids=["below_Q_m", "above_Q_M"])
+@pytest.mark.parametrize("kind", SAMPLE_NODES)
+def test_validate_checks_the_tube_only_above_the_floor(params_case3, kind, quota):
+    # the floor is EPS_B for the ODE and QUOTA_B_FLOOR for nodal samples,
+    # where p/B below it carries the solver's error in B and p
+    floor = EPS_B if kind == "ode" else QUOTA_B_FLOOR
+    t, y = _samples(SAMPLE_NODES[kind])
+    for B in (floor / 2, floor):
+        _set(y, 0, 3, B)
+        _set(y, 1, 3, quota * B)
+        Trajectory(t, y, params_case3).validate()
+    _set(y, 0, 3, 2 * floor)
+    _set(y, 1, 3, quota * 2 * floor)
+    with pytest.raises(IntegrationError, match="quota left") as info:
+        Trajectory(t, y, params_case3).validate()
+    assert info.value.t == 4.5
+    assert np.array_equal(info.value.state, y[..., 3].ravel())
 
 
 class TestFindEquilibrium:

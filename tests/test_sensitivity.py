@@ -10,6 +10,7 @@ import csv
 import numpy as np
 import pytest
 
+import bloomsim.sensitivity
 from bloomsim.core import default_params
 from bloomsim.sensitivity import (
     SensitivityReport,
@@ -201,6 +202,23 @@ class TestPipeline:
         )
         with pytest.raises(RuntimeError, match="failed"):
             run_sensitivity(problem, N=4, seed=1, n_jobs=1)
+
+    def test_row_failure_is_recorded(self, monkeypatch):
+        # one failed row of 16 * 7 stays under the 1% abort: it drops its
+        # Saltelli block and is kept, with its message, in the report
+        calls = []
+
+        def sixth_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
+            calls.append(1)
+            if len(calls) == 6:
+                raise RuntimeError("injected failure")
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", sixth_fails)
+        problem = default_problem(Nx=11, horizon=20.0, bin_days=10.0, sample_every=5.0)
+        report = run_sensitivity(problem, N=16, seed=3, n_jobs=1)
+        assert report.failures == [(5, "RuntimeError: injected failure")]
+        assert report.n_failed_blocks == 1 and report.N == 15
 
     def test_collapsed_ranges_error(self):
         # ranges collapsed to points cannot produce output variance; they are

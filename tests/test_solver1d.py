@@ -26,15 +26,14 @@ from bloomsim.core import (
     reaction_rhs,
     uptake_eta,
 )
-from bloomsim.ode import IntegrationError, integrate_homogeneous
+from bloomsim.ode import IntegrationError, Trajectory, integrate_homogeneous
 from bloomsim.solver1d import (
     Field1D,
-    Trajectory1D,
+    Grid1D,
     _differences,
     _jac_sparsity,
     _jacobian_1d,
     _upwind_gradient,
-    build_grid,
     integrate_1d,
     rhs_1d,
     write_trajectory_csv,
@@ -44,26 +43,26 @@ from bloomsim.wind import SyntheticWind, as_wind
 
 class TestGrid:
     def test_unit_spacing(self):
-        g = build_grid(10.0, 11)
+        g = Grid1D(10.0, 11)
         assert g.dx == 1.0
         assert g.x[0] == 0.0 and g.x[-1] == 10.0
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
-            build_grid(1.0, 2)
+            Grid1D(1.0, 2)
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
-            build_grid(0.0, 11)
+            Grid1D(0.0, 11)
 
     def test_nan_length(self):
         with pytest.raises(ValueError, match="L must be positive"):
-            build_grid(np.nan, 11)
+            Grid1D(np.nan, 11)
 
 
 class TestRhs:
     def test_uniform_fields_reduce_to_reaction(self, params_case3):
-        grid = build_grid(1000.0, 41)
+        grid = Grid1D(1000.0, 41)
         B0, Q0, P0 = 4.0, 0.02, 0.3
         f = Field1D.uniform(grid, B0, Q0, P0)
         rates = rhs_1d(0.0, f.stack(), grid, as_wind(None), params_case3).reshape(3, -1)
@@ -71,7 +70,7 @@ class TestRhs:
         assert np.allclose(rates, oracle[:, None], rtol=1e-12, atol=1e-14)
 
     def test_resting_phosphorus_at_exchange_equilibrium(self, params_case2):
-        grid = build_grid(500.0, 21)
+        grid = Grid1D(500.0, 21)
         f = Field1D(
             np.zeros(21),
             np.full(21, 0.01),
@@ -84,7 +83,7 @@ class TestRhs:
 
     def test_advection_speed_sign_selects_stencil(self, params_case3):
         # a left-moving wind must read the gradient from the right
-        grid = build_grid(100.0, 11)
+        grid = Grid1D(100.0, 11)
         B = np.linspace(1.0, 2.0, 11)
         f = Field1D(B, np.full(11, 0.02), np.full(11, 0.2), 0.02 * B)
         y = f.stack()
@@ -98,7 +97,7 @@ class TestRhs:
 
     def test_flat_state_in_and_out_input_unchanged(self, params_case3):
         # BDF's state is read through views, so the call must not write to it
-        grid = build_grid(100.0, 11)
+        grid = Grid1D(100.0, 11)
         y = Field1D.bump(grid, P0=0.2).stack()
         before = y.copy()
         rates = rhs_1d(0.0, y, grid, as_wind(SyntheticWind(40.0, 9.0)), params_case3)
@@ -162,7 +161,7 @@ def transect_states(draw):
     )
     v = draw(st.sampled_from([-30.0, 0.0, 30.0]))
     Nx = draw(st.integers(3, 9))
-    grid = build_grid(draw(st.sampled_from([10.0, 1000.0])), Nx)
+    grid = Grid1D(draw(st.sampled_from([10.0, 1000.0])), Nx)
 
     def nodes(positive, special):
         kinds = draw(st.lists(st.sampled_from(["positive"] * 3 + list(special)),
@@ -270,7 +269,7 @@ class TestExactJacobian:
             raise AssertionError("the Jacobian must not evaluate rhs_1d")
 
         monkeypatch.setattr(bloomsim.solver1d, "rhs_1d", forbidden)
-        grid = build_grid(1000.0, 41)
+        grid = Grid1D(1000.0, 41)
         y = Field1D.bump(grid, P0=0.2).stack()
         J = _jacobian_1d(0.0, y, grid, as_wind(SyntheticWind(40.0, 9.0)), params_case3)
         assert J.nnz == _jac_sparsity(grid.Nx).nnz
@@ -278,7 +277,7 @@ class TestExactJacobian:
     def test_windy_run_matches_difference_jacobian_path(self, params_case3):
         # the finite-difference path the exact Jacobian replaced: BDF given
         # only the sparsity pattern
-        grid = build_grid(1000.0, 41)
+        grid = Grid1D(1000.0, 41)
         f0 = Field1D.bump(grid, P0=0.2)
         wind = as_wind(SyntheticWind(40.0, 9.0))
         times = np.linspace(0.0, 30.0, 7)
@@ -288,10 +287,9 @@ class TestExactJacobian:
             rhs_1d, (0.0, 30.0), f0.stack(), method="BDF", rtol=1e-8, atol=1e-10, t_eval=times,
             jac_sparsity=_jac_sparsity(grid.Nx), args=(grid, wind, params_case3),
         )
-        got = np.array([f.stack() for f in traj.fields])
-        assert traj.njev > 0
+        assert traj.counters["njev"] > 0
         # within the tolerances both runs were given
-        assert np.allclose(got, oracle.y.T, rtol=1e-8, atol=1e-10)
+        assert np.allclose(traj.y.reshape(oracle.y.shape), oracle.y, rtol=1e-8, atol=1e-10)
 
 
 class TestPureAdvection:
@@ -304,7 +302,7 @@ class TestPureAdvection:
             r=1.0, P_h=0.0, alpha=0.0, beta=0.0, D=0.0,
             beta_B=0.05, beta_P=0.075, P_in=0.0,
         )
-        grid = build_grid(1000.0, 201)
+        grid = Grid1D(1000.0, 201)
         x = grid.x
         P = np.where((x >= 200.0) & (x <= 350.0), 1.0, 0.0)
         zeros = np.zeros(grid.Nx)
@@ -319,7 +317,7 @@ class TestPureAdvection:
             rtol=1e-9, atol=1e-12, sample_times=[0.0, t_end],
         )
         a = params.beta_P * v
-        W0, W = f0.P, traj.fields[-1].P
+        W0, W = f0.P, traj.P[:, -1]
         dx = grid.dx
         # interior pulse: no boundary flux, total mass conserved
         assert W.sum() * dx == pytest.approx(W0.sum() * dx, rel=1e-6)
@@ -341,7 +339,7 @@ class TestPureAdvection:
             f0, grid, lambda t: (v, 0.0), params, 12.0,
             rtol=1e-9, atol=1e-12, sample_times=[0.0, 6.0, 12.0],
         )
-        masses = traj.array("P").sum(axis=1) * grid.dx
+        masses = traj.P.sum(axis=0) * grid.dx
         # mid-flight the pulse is interior: mass still essentially conserved
         assert masses[0] * 0.99 < masses[1] <= masses[0]
         # once the front crosses the downwind boundary the mass drains
@@ -349,15 +347,16 @@ class TestPureAdvection:
 
 
 def assert_quota_is_cell_quota(traj):
-    # Q is not evolved: each sample carries the cell quota p/B exactly
-    for f in traj.fields:
-        live = f.B > EPS_B
-        assert np.array_equal(f.Q[live], f.p[live] / f.B[live])
+    # Q is not evolved: each sample reports the cell quota p/B exactly, and
+    # q_hat where B is at or below the floor
+    Q, live = traj.quota(), traj.B > QUOTA_B_FLOOR
+    assert np.array_equal(Q[live], traj.p[live] / traj.B[live])
+    assert np.all(Q[~live] == q_hat(traj.params))
 
 
 class TestIntegrate:
     def test_uniform_run_tracks_homogeneous_ode(self, params_case3):
-        grid = build_grid(1000.0, 41)
+        grid = Grid1D(1000.0, 41)
         f0 = Field1D.uniform(grid, 5.0, 0.02, 0.15)
         times = np.linspace(0.0, 50.0, 11)
         traj = integrate_1d(f0, grid, None, params_case3, 50.0,
@@ -366,37 +365,36 @@ class TestIntegrate:
             HomState(5.0, 0.1, 0.15), params_case3, 50.0,
             rtol=1e-10, atol=1e-12, t_eval=times,
         )
-        for name, ref in (("B", oracle.B), ("p", oracle.p), ("P", oracle.P)):
-            got = traj.array(name)
-            rel = np.abs(got - ref[:, None]) / np.abs(ref[:, None])
+        for got, ref in zip(traj.y, oracle.y):
+            rel = np.abs(got - ref) / np.abs(ref)
             assert rel.max() < 1e-3
 
     def test_closed_budget_conservation(self):
         params = default_params(r=1.0, P_h=0.2, D=0.0, P_in=0.0)
-        grid = build_grid(1000.0, 61)
+        grid = Grid1D(1000.0, 61)
         f0 = Field1D.bump(grid, P0=0.15)
         traj = integrate_1d(f0, grid, None, params, 100.0,
                             rtol=1e-10, atol=1e-13, sample_times=np.linspace(0, 100, 6))
-        totals = (traj.array("p") + traj.array("P")).sum(axis=1)
+        totals = (traj.p + traj.P).sum(axis=0)
         drift = np.abs(totals - totals[0]).max() / totals[0]
         assert drift < 1e-8
 
     def test_quota_tube_and_positivity_with_wind(self, params_case3):
-        grid = build_grid(1000.0, 81)
+        grid = Grid1D(1000.0, 81)
         f0 = Field1D.bump(grid, P0=0.2)
         wind = SyntheticWind(40.0, 9.0)  # m/day amplitude
         traj = integrate_1d(f0, grid, wind, params_case3, 60.0,
                             rtol=1e-8, atol=1e-11,
                             sample_times=np.linspace(0, 60, 13))
         p = params_case3
-        Q = traj.array("Q")
+        live = traj.B > EPS_B
+        Q = traj.p[live] / traj.B[live]
         assert Q.min() >= p.Q_m - 1e-6 and Q.max() <= p.Q_M + 1e-6
-        for name in ("B", "P", "p"):
-            assert traj.array(name).min() > -1e-10
+        assert traj.y.min() > -1e-10
         assert_quota_is_cell_quota(traj)
 
     def test_consistency_tight_in_still_water(self, params_case3):
-        grid = build_grid(1000.0, 101)
+        grid = Grid1D(1000.0, 101)
         f0 = Field1D.bump(grid, P0=0.2)
         traj = integrate_1d(f0, grid, None, params_case3, 60.0,
                             rtol=1e-9, atol=1e-12,
@@ -404,33 +402,33 @@ class TestIntegrate:
         assert_quota_is_cell_quota(traj)
 
     def test_grid_refinement_changes_little(self, params_case3):
-        coarse = build_grid(1000.0, 51)
-        fine = build_grid(1000.0, 101)
+        coarse = Grid1D(1000.0, 51)
+        fine = Grid1D(1000.0, 101)
         t_samples = [0.0, 50.0]
         sol_c = integrate_1d(Field1D.bump(coarse, P0=0.2), coarse, None,
                              params_case3, 50.0, sample_times=t_samples)
         sol_f = integrate_1d(Field1D.bump(fine, P0=0.2), fine, None,
                              params_case3, 50.0, sample_times=t_samples)
-        Bc = sol_c.fields[-1].B
-        Bf = sol_f.fields[-1].B[::2]  # fine grid contains the coarse nodes
+        Bc = sol_c.B[:, -1]
+        Bf = sol_f.B[::2, -1]  # fine grid contains the coarse nodes
         l2_diff = np.sqrt(((Bf - Bc) ** 2).sum() * coarse.dx)
         l2_ref = np.sqrt((Bc**2).sum() * coarse.dx)
         assert l2_diff / l2_ref < 0.02
 
     def test_final_time_reached_and_samples_respected(self, params_case3):
-        grid = build_grid(500.0, 31)
+        grid = Grid1D(500.0, 31)
         times = [0.0, 12.5, 40.0]
         traj = integrate_1d(Field1D.bump(grid, P0=0.2), grid, None,
                             params_case3, 40.0, sample_times=times)
-        assert np.allclose(traj.times, times)
-        assert len(traj.fields) == 3
+        assert np.allclose(traj.t, times)
+        assert traj.y.shape == (3, grid.Nx, 3)
 
     @pytest.mark.parametrize(
         "t_end, tolerances",
         [(0.0, {}), (-5.0, {}), (10.0, {"rtol": 0.0}), (10.0, {"atol": -1e-10})],
     )
     def test_rejects_non_positive_horizon_and_tolerances(self, params_case3, t_end, tolerances):
-        grid = build_grid(500.0, 11)
+        grid = Grid1D(500.0, 11)
         with pytest.raises(ValueError):
             integrate_1d(Field1D.bump(grid, P0=0.2), grid, None, params_case3, t_end,
                          **tolerances)
@@ -439,32 +437,21 @@ class TestIntegrate:
         (np.nan, {}), (10.0, {"rtol": np.nan}), (10.0, {"atol": np.nan}),
     ])
     def test_rejects_nan_horizon_and_tolerances(self, params_case3, t_end, tolerances):
-        grid = build_grid(500.0, 11)
+        grid = Grid1D(500.0, 11)
         with pytest.raises(ValueError, match="must be positive"):
             integrate_1d(Field1D.bump(grid, P0=0.2), grid, None, params_case3, t_end,
                          **tolerances)
 
     def test_mismatched_initial_grid(self, params_case3):
-        grid = build_grid(500.0, 31)
+        grid = Grid1D(500.0, 31)
         with pytest.raises(ValueError):
-            integrate_1d(Field1D.bump(build_grid(500.0, 11), P0=0.2), grid,
+            integrate_1d(Field1D.bump(Grid1D(500.0, 11), P0=0.2), grid,
                          None, params_case3, 10.0)
-
-    def test_validate_reports_failing_sample(self, params_case3):
-        grid = build_grid(100.0, 5)
-        good = Field1D.uniform(grid, 2.0, 0.02, 0.2)
-        bad = Field1D.uniform(grid, 2.0, 0.02, 0.2)
-        bad.P[2] = -1e-6
-        traj = Trajectory1D(np.array([0.0, 1.5, 3.0]), [good, bad, good], grid, params_case3)
-        with pytest.raises(IntegrationError, match="negative state") as info:
-            traj.validate()
-        assert info.value.t == 1.5
-        assert np.array_equal(info.value.state, bad.stack())
 
     def test_validate_checks_the_tube_only_above_the_floor(self, params_case3):
         # the rule of Field2D.validate: below QUOTA_B_FLOOR, p/B carries
         # the solver's error in B and p rather than a quota
-        f = Field1D.uniform(build_grid(100.0, 5), 2.0, 0.02, 0.2)
+        f = Field1D.uniform(Grid1D(100.0, 5), 2.0, 0.02, 0.2)
         f.B[2] = QUOTA_B_FLOOR / 2
         f.p[2] = 1e-3 * f.B[2]
         f.validate(params_case3)
@@ -475,7 +462,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["B", "p", "P"])
     def test_validate_rejects_non_finite_values(self, params_case3, name, bad):
-        f = Field1D.uniform(build_grid(100.0, 5), 2.0, 0.02, 0.2)
+        f = Field1D.uniform(Grid1D(100.0, 5), 2.0, 0.02, 0.2)
         getattr(f, name)[1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             f.validate(params_case3)
@@ -483,17 +470,17 @@ class TestIntegrate:
     def test_extinction_front_under_wind(self):
         # biomass 1e-9 upwind of the bump: the quota, derived from p and B,
         # stays in its tube where the cells are alive, and p stays >= 0
-        grid = build_grid(1000.0, 101)
+        grid = Grid1D(1000.0, 101)
         bump = Field1D.bump(grid, P0=2.0)
         B = np.where(grid.x < 300.0, 1e-9, bump.B)
         f0 = Field1D(B, np.full(grid.Nx, 0.02), bump.P, 0.02 * B)
         traj = integrate_1d(f0, grid, SyntheticWind(40.0, 9.0), default_params(r=1.0, P_h=2.0),
                             60.0)
         traj.validate()
-        assert traj.times[-1] == 60.0
+        assert traj.t[-1] == 60.0
 
     def test_integrator_failure_carries_diagnostics(self, params_case3):
-        grid = build_grid(500.0, 11)
+        grid = Grid1D(500.0, 11)
         bad_wind = lambda t: (np.nan, 0.0)  # noqa: E731
         with pytest.raises(IntegrationError):
             integrate_1d(Field1D.bump(grid, P0=0.2), grid, bad_wind,
@@ -502,11 +489,11 @@ class TestIntegrate:
 
 class TestExport:
     def test_long_format_csv(self, tmp_path, params_case3):
-        grid = build_grid(100.0, 5)
+        grid = Grid1D(100.0, 5)
         f0 = Field1D.uniform(grid, 2.0, 0.02, 0.2)
-        traj = Trajectory1D(np.array([0.0]), [f0], grid, params_case3)
+        traj = Trajectory(np.array([0.0]), f0.stack().reshape(3, -1, 1), params_case3)
         out = tmp_path / "sol.csv"
-        write_trajectory_csv(traj, out)
+        write_trajectory_csv(traj, grid, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,x,B,Q,P,p"
         assert len(lines) == 1 + 5
@@ -514,21 +501,20 @@ class TestExport:
         assert float(row[2]) == 2.0 and float(row[3]) == 0.02
 
     def test_csv_bytes_match_csv_module(self, tmp_path, params_case3, rng):
-        grid = build_grid(100.0, 7)
-        fields = [
-            Field1D(*rng.uniform(-1.0, 1.0, (4, grid.Nx)) * 10.0 ** rng.integers(-300, 300, 4)[:, None])
-            for _ in range(3)
-        ]
-        fields[1].B[:3] = [0.0, -0.0, 5e-324]
-        traj = Trajectory1D(np.array([0.0, 1.0 / 3.0, 2.5e6]), fields, grid, params_case3)
+        grid = Grid1D(100.0, 7)
+        y = rng.uniform(-1.0, 1.0, (3, grid.Nx, 3)) * 10.0 ** rng.integers(-300, 300, (3, 1, 3))
+        y[0, :3, 1] = [0.0, -0.0, 5e-324]
+        traj = Trajectory(np.array([0.0, 1.0 / 3.0, 2.5e6]), y, params_case3)
         out = tmp_path / "sol.csv"
-        write_trajectory_csv(traj, out)
+        write_trajectory_csv(traj, grid, out)
 
         expected = tmp_path / "expected.csv"
+        Q = traj.quota()
         with open(expected, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "B", "Q", "P", "p"])
-            for t, f in zip(traj.times, traj.fields):
+            for k, t in enumerate(traj.t):
                 for i in range(grid.Nx):
-                    writer.writerow([f"{v:.17g}" for v in (t, grid.x[i], f.B[i], f.Q[i], f.P[i], f.p[i])])
+                    writer.writerow([f"{v:.17g}" for v in (t, grid.x[i], traj.B[i, k], Q[i, k],
+                                                           traj.P[i, k], traj.p[i, k])])
         assert out.read_bytes() == expected.read_bytes()

@@ -23,17 +23,17 @@ from bloomsim import solver2d
 from bloomsim.core import (
     _BASE_CONSTANTS,
     EPS_B,
+    QUOTA_B_FLOOR,
     HomState,
     _reaction_kernel,
     default_params,
     reaction_rhs,
 )
 from bloomsim.mesh import refine_uniform, synthetic_lake_mesh, two_triangle_square
-from bloomsim.ode import IntegrationError, integrate_homogeneous
+from bloomsim.ode import IntegrationError, Trajectory, integrate_homogeneous
 from bloomsim.solver2d import (
     Field2D,
     NewtonError,
-    Snapshots2D,
     _NewtonStats,
     assemble_fem,
     newton_be_step,
@@ -215,16 +215,16 @@ class TestSimplifiedNewton:
     def test_matches_full_newton(self, windy_run):
         mesh, snaps, oracle = windy_run
         assert mesh.n_nodes == 114
-        got = snaps.fields[-1]
-        for name in ("B", "p", "P"):
-            np.testing.assert_allclose(getattr(got, name), getattr(oracle, name), rtol=1e-10)
+        for got, name in zip(snaps.y[..., -1], ("B", "p", "P")):
+            np.testing.assert_allclose(got, getattr(oracle, name), rtol=1e-10)
 
     def test_few_newton_iterations_per_step(self, windy_run):
         _, snaps, _ = windy_run
-        assert snaps.half_step_retries == 0
+        counters = snaps.counters
+        assert counters["half_step_retries"] == 0
         steps = 4  # dt = 0.5 to t = 2
-        assert snaps.newton_iterations <= 4 * steps
-        assert snaps.linear_iterations >= snaps.newton_iterations
+        assert counters["newton_iterations"] <= 4 * steps
+        assert counters["linear_iterations"] >= counters["newton_iterations"]
 
 
 def be_residual(U_n, U, dt, t_next, mesh, wind, params):
@@ -339,7 +339,7 @@ class TestRobustness:
         zero = np.zeros(lake_114.n_nodes)
         snaps = simulate_2d(Field2D(zero, zero, zero), lake_114, None, params, dt=dt,
                             t_end=dt, output_times=[dt])
-        assert snaps.half_step_retries == 0
+        assert snaps.counters["half_step_retries"] == 0
 
     @pytest.mark.parametrize("wind", ["wind_sample.csv", SyntheticWind(2000.0, 9.0)],
                              ids=["wind_sample", "synthetic_2000"])
@@ -375,7 +375,7 @@ class TestSimulate:
             rtol=1e-11, atol=1e-13, t_eval=[0.0, 25.0, 50.0],
         )
         for i, t in enumerate((0.0, 25.0, 50.0)):
-            got = np.array([snaps.fields[i].B[0], snaps.fields[i].p[0], snaps.fields[i].P[0]])
+            got = snaps.y[:, 0, i]
             ref = oracle.y[:, i]
             assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-3
 
@@ -386,7 +386,7 @@ class TestSimulate:
                             output_times=np.linspace(0.0, 50.0, 6))
         M, _, _ = assemble_fem(lake, (0.0, 0.0), params)
         ones = np.ones(lake.n_nodes)
-        totals = [ones @ (M @ (f.p + f.P)) for f in snaps.fields]
+        totals = ones @ (M @ (snaps.p + snaps.P))
         drift = np.abs(np.diff(totals)).sum() / totals[0]
         assert drift < 1e-6
 
@@ -395,21 +395,18 @@ class TestSimulate:
         with pytest.warns(RuntimeWarning, match="Peclet"):  # expected under wind
             snaps = simulate_2d(U0, lake, SyntheticWind(30.0, 7.0), params_case3,
                                 dt=0.5, t_end=30.0, output_times=[0.0, 10.0, 30.0])
-        from bloomsim.solver2d import QUOTA_B_FLOOR
-
         p = params_case3
-        for f in snaps.fields:
-            mask = f.B > QUOTA_B_FLOOR
-            q = f.p[mask] / f.B[mask]
-            assert q.min() >= p.Q_m - 1e-6 and q.max() <= p.Q_M + 1e-6
-            assert min(f.B.min(), f.p.min(), f.P.min()) > -1e-10
+        mask = snaps.B > QUOTA_B_FLOOR
+        q = snaps.p[mask] / snaps.B[mask]
+        assert q.min() >= p.Q_m - 1e-6 and q.max() <= p.Q_M + 1e-6
+        assert snaps.y.min() > -1e-10
 
     def test_biomass_declines_without_phosphorus(self, lake):
         params = default_params(r=1.0, P_h=0.0)
         U0 = Field2D.bump(lake, B_base=0.1, B_peak=2.0, Q0=0.004, P0=0.005)
         snaps = simulate_2d(U0, lake, None, params, dt=0.5, t_end=60.0,
                             output_times=[0.0, 60.0])
-        assert snaps.fields[-1].B.max() < 0.25 * snaps.fields[0].B.max()
+        assert snaps.B[:, -1].max() < 0.25 * snaps.B[:, 0].max()
 
     def test_bloom_dies_out_inside_the_quota_tube(self):
         # without hypolimnion phosphorus a starved bloom stops growing at the
@@ -420,11 +417,10 @@ class TestSimulate:
         U0 = Field2D.bump(mesh, Q0=0.005, P0=0.005)
         snaps = simulate_2d(U0, mesh, None, params, dt=2.0, t_end=750.0,
                             output_times=np.arange(0.0, 751.0, 50.0))
-        assert snaps.fields[-1].B.max() < 1e-12
-        for f in snaps.fields:
-            live = f.B > EPS_B
-            q = f.p[live] / f.B[live]
-            assert np.all(q >= params.Q_m - 1e-6) and np.all(q <= params.Q_M + 1e-6)
+        assert snaps.B[:, -1].max() < 1e-12
+        live = snaps.B > EPS_B
+        q = snaps.p[live] / snaps.B[live]
+        assert np.all(q >= params.Q_m - 1e-6) and np.all(q <= params.Q_M + 1e-6)
 
     def test_year_long_outcomes_split_on_hypolimnion_phosphorus(self):
         from bloomsim.core import b_bar
@@ -437,14 +433,14 @@ class TestSimulate:
         U0 = Field2D.bump(mesh, B_base=0.1, B_peak=2.0, Q0=0.004, P0=0.005)
         ext = simulate_2d(U0, mesh, None, params0, dt=0.5, t_end=365.0,
                           output_times=[0.0, 365.0])
-        assert ext.fields[-1].B.max() < 1e-3 * ext.fields[0].B.max()
+        assert ext.B[:, -1].max() < 1e-3 * ext.B[:, 0].max()
 
         # rich hypolimnion: positive everywhere and under the biomass bound
         params2 = default_params(r=1.0, P_h=2.0)
         U2 = Field2D.bump(mesh, P0=2.0)
         sat = simulate_2d(U2, mesh, None, params2, dt=0.5, t_end=365.0,
                           output_times=[0.0, 365.0])
-        B_final = sat.fields[-1].B
+        B_final = sat.B[:, -1]
         assert B_final.min() > 0.0
         assert B_final.max() <= max(U2.B.max(), b_bar(params2)) + 1e-6
 
@@ -476,18 +472,8 @@ class TestSimulate:
             warnings.simplefilter("error")  # still water: no Peclet warning
             snaps = simulate_2d(U0, lake, None, params, dt=0.5, t_end=2.0,
                                 output_times=[0.0, 2.0])
-        assert isinstance(snaps, Snapshots2D)
+        assert isinstance(snaps, Trajectory)
         snaps.validate()
-
-    def test_validate_reports_failing_sample(self, lake, params_case3):
-        good = Field2D.uniform(lake, 1.0, 0.02, 0.2)
-        bad = Field2D.uniform(lake, 1.0, 0.02, 0.2)
-        bad.p[4] = 0.5  # quota 0.5 is above Q_M
-        snaps = Snapshots2D(np.array([0.0, 2.0, 4.0]), [good, good, bad], lake, params_case3)
-        with pytest.raises(IntegrationError, match="quota left") as info:
-            snaps.validate()
-        assert info.value.t == 4.0
-        assert np.array_equal(info.value.state, bad.stack())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["B", "p", "P"])
