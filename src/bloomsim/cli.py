@@ -311,12 +311,13 @@ def _run_sim2d(config, params, out_dir, seed, threads, base_dir):
             raise ValueError(f"output_times must lie in [0, t_end = {t_end:g}]")
         dt = _positive(section, "dt", 0.5)
     snaps = simulate_2d(initial, mesh, wind, params, dt, t_end, output_times)
+    Q = snaps.quota()
     outputs = []
     manifest_rows = []
     for i, t in enumerate(snaps.t):
         name = f"state_t{t:08.2f}.vtk"
-        write_vtk(Field2D(*snaps.y[..., i]), mesh, out_dir / name, params,
-                  title=f"lake state at t={t:g} d")
+        point_data = {"B": snaps.B[:, i], "p": snaps.p[:, i], "P": snaps.P[:, i], "Q": Q[:, i]}
+        write_vtk(mesh, out_dir / name, point_data, title=f"lake state at t={t:g} d")
         outputs.append(out_dir / name)
         manifest_rows.append((float(t), name))
     index_path = out_dir / "snapshots.csv"

@@ -156,6 +156,16 @@ class ModelParams:
         """Combined specific loss l + D/z_m (1/day)."""
         return self.l + self.D / self.z_m
 
+    @property
+    def diffusivities(self) -> tuple[float, float, float]:
+        """Diffusivity of the rows (B, p, P): p moves with the cells."""
+        return (self.alpha, self.alpha, self.beta)
+
+    @property
+    def advection_scalars(self) -> tuple[float, float, float]:
+        """Advection scalar of the rows (B, p, P): p moves with the cells."""
+        return (self.beta_B, self.beta_B, self.beta_P)
+
 
 #: Baseline constants used throughout the bundled scenarios; r and P_h vary
 #: by scenario and must be chosen explicitly.

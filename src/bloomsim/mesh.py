@@ -119,12 +119,9 @@ class TriMesh:
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
     def max_edge_length(self) -> float:
-        x = self.nodes[:, 0][self.triangles]
-        y = self.nodes[:, 1][self.triangles]
-        lengths = []
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            lengths.append(np.hypot(x[:, i] - x[:, j], y[:, i] - y[:, j]))
-        return float(np.max(lengths))
+        corners = self.nodes[self.triangles]  # (M, 3, 2)
+        d = corners - corners[:, [1, 2, 0]]   # edges ab, bc, ca
+        return float(np.hypot(d[..., 0], d[..., 1]).max())
 
 
 def _edges(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,17 +343,12 @@ def lake_outline(n_points: int = 160, radius: float = 400.0) -> np.ndarray:
 
 def _points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     """Even-odd ray casting; boundary points are not guaranteed either way."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    px, py = polygon[:, 0], polygon[:, 1]
-    for i in range(len(polygon)):
-        x1, y1 = px[i - 1], py[i - 1]
-        x2, y2 = px[i], py[i]
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < x_cross)
-    return inside
+    x, y = points[:, :1], points[:, 1:]  # (N, 1), broadcast against the E edges
+    (x1, y1), (x2, y2) = np.roll(polygon, 1, axis=0).T, polygon.T
+    crosses = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    return np.logical_xor.reduce(crosses & (x < x_cross), axis=1)
 
 
 def synthetic_lake_mesh(target_h: float = 80.0, radius: float = 400.0) -> TriMesh:
@@ -373,17 +365,14 @@ def synthetic_lake_mesh(target_h: float = 80.0, radius: float = 400.0) -> TriMes
     hi = outline.max(axis=0) + target_h
     xs = np.arange(lo[0], hi[0] + target_h, target_h)
     ys = np.arange(lo[1], hi[1] + target_h * 0.866, target_h * 0.866)
-    pts = []
-    for j, yv in enumerate(ys):
-        offset = 0.5 * target_h if j % 2 else 0.0
-        for xv in xs:
-            pts.append((xv + offset, yv))
-    interior = np.array(pts)
+    # odd rows shift by half a spacing: a staggered, near-equilateral lattice
+    X, Y = np.meshgrid(xs, ys)
+    X = X + np.where(np.arange(len(ys)) % 2, 0.5 * target_h, 0.0)[:, None]
+    interior = np.column_stack([X.ravel(), Y.ravel()])
     # keep lattice points clear of the boundary so small slivers cannot form
-    keep = _points_in_polygon(interior, outline)
-    for q in outline:
-        d2 = (interior[:, 0] - q[0]) ** 2 + (interior[:, 1] - q[1]) ** 2
-        keep &= d2 > (0.55 * target_h) ** 2
+    d2 = ((interior[:, None, 0] - outline[:, 0]) ** 2
+          + (interior[:, None, 1] - outline[:, 1]) ** 2)
+    keep = _points_in_polygon(interior, outline) & (d2.min(axis=1) > (0.55 * target_h) ** 2)
     points = np.vstack([outline, interior[keep]])
 
     tri = Delaunay(points)

@@ -154,6 +154,10 @@ def _solve_bdf(fun, jac, y0, t_end, rtol, atol, t_eval, args=None, convert=()):
         raise ValueError("t_end must be positive")
     if not (rtol > 0 and atol > 0):
         raise ValueError("tolerances must be positive")
+    t_eval = np.asarray(t_eval, dtype=float)
+    if not (t_eval.ndim == 1 and t_eval.size and 0.0 <= t_eval[0] and t_eval[-1] <= t_end
+            and np.all(np.diff(t_eval) > 0.0)):
+        raise ValueError("sample times must be strictly increasing in [0, t_end]")
     try:
         sol = solve_ivp(
             fun,
@@ -199,7 +203,8 @@ def integrate_homogeneous(
     ------
     ValueError
         If ``t_end``, ``rtol`` or ``atol`` is not positive (NaN included),
-        or ``initial`` leaves the quota tube.
+        ``t_eval`` is not strictly increasing in [0, t_end], or ``initial``
+        leaves the quota tube.
     IntegrationError
         On integrator failure (step-size underflow under stiffness), with
         the last reached time and state attached.
@@ -207,8 +212,8 @@ def integrate_homogeneous(
     initial.check_quota(params)
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 201)
-    sol = _solve_bdf(_rhs_flat, _jac_flat, initial.as_array(), t_end, rtol, atol,
-                     np.asarray(t_eval, dtype=float), args=(params,))
+    sol = _solve_bdf(_rhs_flat, _jac_flat, initial.as_array(), t_end, rtol, atol, t_eval,
+                     args=(params,))
     traj = Trajectory(sol.t, sol.y, params, _bdf_counters(sol))
     traj.validate()
     return traj

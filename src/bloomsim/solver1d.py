@@ -6,10 +6,10 @@ Q = p/B is not evolved; it is derived from the state, with the kernel's one
 quota convention (q_hat where B <= EPS_B).  Spatial terms on the uniform
 grid:
 
-* diffusion by the central 3-point stencil (alpha for B and p, beta for P),
-* advection by first-order upwinding on the sign of the transport speed
-  (``beta_B v`` for B and p, since internal phosphorus moves with the cells
-  that carry it, and ``beta_P v`` for P),
+* diffusion by the central 3-point stencil and advection by first-order
+  upwinding on the sign of the transport speed, with each row's diffusivity
+  and advection scalar from the movement table of ``ModelParams`` (p moves
+  with the cells that carry it, at B's coefficients),
 * zero-flux boundaries through ghost values copied from the boundary node,
   which makes the plain nodal sum of the diffusion terms vanish exactly
   (a discretely conservative closure).
@@ -143,13 +143,6 @@ def _upwind_gradient(backward: np.ndarray, forward: np.ndarray, speed, dx: float
     return np.where(speed > 0, backward, forward) / dx
 
 
-def _movement(v: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusivity and transport speed of the (B, p, P) rows, as (3, 1)
-    columns; p moves with the cells, at B's coefficients."""
-    return (np.array([[params.alpha], [params.alpha], [params.beta]]),
-            np.array([[params.beta_B], [params.beta_B], [params.beta_P]]) * v)
-
-
 def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> np.ndarray:
     """Time derivative of the flat transect state ``y`` at time ``t``.
 
@@ -168,7 +161,8 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
     """
     dx = grid.dx
     U = y.reshape(3, grid.Nx)
-    diffusivities, speeds = _movement(float(wind(t)[0]), params)
+    diffusivities = np.array(params.diffusivities)[:, None]
+    speeds = np.array(params.advection_scalars)[:, None] * float(wind(t)[0])
     backward, forward = _differences(U)
     dU = (
         diffusivities * ((forward - backward) / dx**2)
@@ -223,8 +217,8 @@ def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParam
     from the shared kernel.
     """
     Nx, dx = grid.Nx, grid.dx
-    diffusivities, speeds = _movement(float(wind(t)[0]), params)
-    diffusion = np.repeat(diffusivities / dx**2, Nx, axis=1)
+    speeds = np.array(params.advection_scalars)[:, None] * float(wind(t)[0])
+    diffusion = np.repeat(np.array(params.diffusivities)[:, None] / dx**2, Nx, axis=1)
     upwind = speeds / dx
     ahead = speeds > 0
     band = np.zeros((3, 3, 3, Nx))
@@ -259,7 +253,8 @@ def integrate_1d(
     ------
     ValueError
         If ``t_end``, ``rtol`` or ``atol`` is not positive (NaN included),
-        or the initial field does not match the grid.
+        ``sample_times`` are not strictly increasing in [0, t_end], or the
+        initial field does not match the grid.
     IntegrationError
         On stiffness failure, carrying the last reached state, or when
         ``validate`` is set and a sample fails :meth:`Trajectory.validate`.
@@ -268,7 +263,6 @@ def integrate_1d(
         raise ValueError("initial field does not match the grid")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 11)
-    sample_times = np.asarray(sample_times, dtype=float)
     # singular iteration matrices (e.g. non-finite forcing) surface as
     # low-level SuperLU and ValueError failures; present them as
     # IntegrationError

@@ -4,9 +4,9 @@ The three fields (B, p, P) live on the nodes of a triangular lake mesh with
 zero-flux boundaries.  Spatial operators are the standard P1 matrices: the
 mass matrix M (consistent form exposed by :func:`assemble_fem`; its row
 sums, a node vector, are the lumped mass of the time stepping), the
-stiffness matrix K (scaled by the diffusivity of each field), and an
-advection matrix C(v) = integral (v . grad phi_j) phi_i, linear in the wind
-vector and shared by all fields up to the dimensionless advection scalars.
+stiffness matrix K, and an advection matrix C(v) = integral (v . grad
+phi_j) phi_i, linear in the wind vector.  Row i of the state moves by
+d_i K + a_i C(v), from the movement table of ``ModelParams``.
 Reactions are interpolated nodewise (group finite elements), which makes
 the internal uptake/recycling exchange between p and P cancel exactly and
 keeps the closed phosphorus budget conservative to solver tolerance; with
@@ -19,7 +19,8 @@ applied matrix-free and preconditioned by the inverse of its nodal 3x3
 blocks.  With the lumped mass the Newton matrix is mass-dominated at the
 bundled winds, so a few Krylov iterations per update replace a sparse LU
 factor, whose fill dominated the step on fine meshes.  A step that fails to
-converge is retried as two half steps before giving up.
+converge is retried as two half steps before giving up.  Steps carry the
+flat (3 n,) state of :meth:`Field2D.stack`, as the 1D solver does.
 The growth quota is the reaction kernel's: p/B clipped to [Q_m, Q_M], with
 q_hat where biomass has vanished, so a node whose internal phosphorus runs
 out stops growing and its biomass decays to extinction.
@@ -29,13 +30,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .core import QUOTA_B_FLOOR, ModelParams, _check_fields, _quota, _reaction_kernel
+from .core import ModelParams, _check_fields, _reaction_kernel
 from .mesh import TriMesh
 from .ode import Trajectory
 from .wind import as_wind
@@ -63,15 +64,6 @@ _GMRES_MAXITER = 5
 
 class NewtonError(RuntimeError):
     """Backward-Euler Newton iteration failed to converge."""
-
-
-@dataclass
-class _NewtonStats:
-    """Work counters that :func:`simulate_2d` passes down to each step."""
-
-    newton_iterations: int = 0
-    linear_iterations: int = 0
-    half_step_retries: int = 0
 
 
 @dataclass
@@ -116,12 +108,8 @@ class Field2D:
         return cls(B, Q0 * B, np.full(mesh.n_nodes, P0))
 
     def stack(self) -> np.ndarray:
+        """The flat (3 n,) solver state, rows (B, p, P)."""
         return np.concatenate([self.B, self.p, self.P])
-
-    def quota(self, params: ModelParams) -> np.ndarray:
-        """Pointwise p/B, with q_hat where B <= QUOTA_B_FLOOR, below which
-        p/B is solver noise rather than a quota."""
-        return _quota(self.B, self.p, params, QUOTA_B_FLOOR)
 
     def validate(self, params: ModelParams) -> None:
         """Finite values, positivity everywhere (to 1e-10), and the quota
@@ -160,33 +148,21 @@ class FemOperators:
 
 def _assemble_operators(mesh: TriMesh) -> FemOperators:
     n = mesh.n_nodes
-    tris = mesh.triangles
-    areas = mesh.areas
+    areas = mesh.areas[:, None]
     gx, gy = mesh.grad_x, mesh.grad_y
-
-    rows, cols = [], []
-    m_vals, k_vals, cx_vals, cy_vals = [], [], [], []
-    for i_loc in range(3):
-        for j_loc in range(3):
-            rows.append(tris[:, i_loc])
-            cols.append(tris[:, j_loc])
-            mass = areas / (6.0 if i_loc == j_loc else 12.0)
-            m_vals.append(mass)
-            k_vals.append(areas * (gx[:, i_loc] * gx[:, j_loc] + gy[:, i_loc] * gy[:, j_loc]))
-            # integral phi_i (grad phi_j) over the element: grad is constant,
-            # integral of phi_i is area/3
-            cx_vals.append(areas / 3.0 * gx[:, j_loc])
-            cy_vals.append(areas / 3.0 * gy[:, j_loc])
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    # the nine local pairs (i, j) of each element, pair by pair
+    i, j = np.divmod(np.arange(9), 3)
+    rows, cols = mesh.triangles[:, i].T.ravel(), mesh.triangles[:, j].T.ravel()
 
     def build(vals):
-        return csr_matrix((np.concatenate(vals), (rows, cols)), shape=(n, n))
+        return csr_matrix((vals.T.ravel(), (rows, cols)), shape=(n, n))
 
-    M = build(m_vals)
-    return FemOperators(M, build(k_vals), build(cx_vals), build(cy_vals),
-                        np.asarray(M.sum(axis=1)).ravel())
+    M = build(areas / np.where(i == j, 6.0, 12.0))
+    K = build(areas * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]))
+    # integral phi_i (grad phi_j) over the element: grad is constant,
+    # integral of phi_i is area/3
+    Cx, Cy = build(areas / 3.0 * gx[:, j]), build(areas / 3.0 * gy[:, j])
+    return FemOperators(M, K, Cx, Cy, np.asarray(M.sum(axis=1)).ravel())
 
 
 def _operators_for(mesh: TriMesh) -> FemOperators:
@@ -198,43 +174,45 @@ def _operators_for(mesh: TriMesh) -> FemOperators:
     return ops
 
 
-def assemble_fem(mesh: TriMesh, v, params: ModelParams):
+def assemble_fem(mesh: TriMesh, v):
     """Mass, stiffness, and advection matrices for a wind vector ``v``.
 
     Returns ``(M, K, C)`` with M symmetric positive definite, K symmetric
     positive semidefinite with zero row sums, and C = C(v) linear in the
-    wind.  The model equations use alpha K, beta K and beta_B C, beta_P C;
-    the dimensionless advection scalars are applied by the caller.
+    wind.  Row i of the model moves by ``d_i K + a_i C``, with the movement
+    table of ``ModelParams``; the caller applies it.
     """
     ops = _operators_for(mesh)
     return ops.M, ops.K, ops.advection(v)
 
 
-def _step_matrices(ops: FemOperators, v, params: ModelParams):
-    C = ops.advection(v)
-    L_B = params.alpha * ops.K + params.beta_B * C
-    L_P = params.beta * ops.K + params.beta_P * C
-    return L_B, L_P
+#: Keys of the work counters that each step adds to.
+_COUNTERS = ("newton_iterations", "linear_iterations", "half_step_retries")
 
 
 def newton_be_step(
-    U_n: Field2D,
+    y_n: np.ndarray,
     dt: float,
     t_next: float,
     mesh: TriMesh,
     wind,
     params: ModelParams,
     tol: float = 1e-12,
+    counters: dict | None = None,
     _depth: int = 0,
-    _stats: _NewtonStats | None = None,
-) -> Field2D:
+) -> np.ndarray:
     """One backward-Euler step of size ``dt`` ending at ``t_next``.
+
+    Takes the flat (3 n,) state ``y_n`` in :meth:`Field2D.stack` order and
+    returns the new one; ``counters``, a dict with the keys of
+    :data:`_COUNTERS`, gets the step's work added.
 
     Solves ``M_L (U - U_n) + dt (L U - M_L R(U)) = 0`` by inexact Newton,
     with ``M_L = diag(m)`` for the lumped mass vector ``m`` of
-    :class:`FemOperators`.  Each iteration evaluates the reaction terms and
-    their exact Jacobian R' once and solves ``J delta = -F`` by restarted
-    GMRES (Saad & Schultz 1986; Knoll & Keyes, J. Comput. Phys. 193, 2004).
+    :class:`FemOperators` and ``L_i = d_i K + a_i C(v)`` per row.  Each
+    iteration evaluates the reaction terms and their exact Jacobian R' once
+    and solves ``J delta = -F`` by restarted GMRES (Saad & Schultz 1986;
+    Knoll & Keyes, J. Comput. Phys. 193, 2004).
     J is applied matrix-free, ``m x + dt L x`` per field minus the nodal
     coupling ``dt m R' x``, and preconditioned by the inverse of its nodal
     3x3 blocks ``m I + dt diag(L) - dt m R'``.  ``tol`` is relative to the
@@ -247,25 +225,25 @@ def newton_be_step(
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if _stats is None:
-        _stats = _NewtonStats()
+    if counters is None:
+        counters = dict.fromkeys(_COUNTERS, 0)
     ops = _operators_for(mesh)
-    v = as_wind(wind)(t_next)
-    L_B, L_P = _step_matrices(ops, v, params)
+    C = ops.advection(as_wind(wind)(t_next))
+    L = [d * ops.K + a * C for d, a in zip(params.diffusivities, params.advection_scalars)]
     m = ops.m_lumped
     n = m.size
-    U_old = np.stack([U_n.B, U_n.p, U_n.P])
+    U_old = np.array(y_n, dtype=float).reshape(3, n)
 
     scale_old = max(1.0, *(float(np.linalg.norm(m * u)) for u in U_old))
 
     def spatial(X):
-        return np.stack([L_B @ X[0], L_B @ X[1], L_P @ X[2]])
+        return np.stack([L_i @ x for L_i, x in zip(L, X)])
 
     def count(_):
-        _stats.linear_iterations += 1
+        counters["linear_iterations"] += 1
 
     # m + dt diag(L) per field: the spatial part of each nodal block
-    own = m + dt * np.stack([L_B.diagonal(), L_B.diagonal(), L_P.diagonal()])
+    own = m + dt * np.stack([L_i.diagonal() for L_i in L])
 
     y = U_old
     solve = "none"
@@ -276,7 +254,7 @@ def newton_be_step(
         scale = max(scale_old, *(float(np.linalg.norm(m * u)) for u in y))
         res = float(np.linalg.norm(F))
         if res <= tol * scale:
-            return Field2D(*y)
+            return y.reshape(-1)
         if it == _MAX_ITER or not np.isfinite(res):
             break
         coupling = dt * m * react.jacobian  # (3, 3, n)
@@ -306,7 +284,7 @@ def newton_be_step(
             callback=count,
             callback_type="pr_norm",
         )
-        _stats.newton_iterations += 1
+        counters["newton_iterations"] += 1
         solve = f"GMRES info={info}"
         if info != 0:
             break
@@ -319,21 +297,22 @@ def newton_be_step(
             f"Newton did not converge at t={t_next:g} (dt={dt:g}): residual {res:.3g} "
             f"against tol*scale {tol * scale:.3g}; last linear solve: {solve}"
         )
-    _stats.half_step_retries += 1
-    half = newton_be_step(
-        U_n, dt / 2, t_next - dt / 2, mesh, wind, params, tol, _depth + 1, _stats
-    )
-    return newton_be_step(half, dt / 2, t_next, mesh, wind, params, tol, _depth + 1, _stats)
+    counters["half_step_retries"] += 1
+    # via the module global, so that a wrapper of this function sees them
+    half = newton_be_step(y_n, dt / 2, t_next - dt / 2, mesh, wind, params, tol,
+                          counters, _depth + 1)
+    return newton_be_step(half, dt / 2, t_next, mesh, wind, params, tol, counters, _depth + 1)
 
 
 def _cell_peclet(h: float, wind_speed: float, params: ModelParams) -> float:
-    """Largest cell Peclet number h |a| / (2 D) over the B and P fields.
+    """Largest cell Peclet number h |a| / (2 D) over the rows of the
+    movement table (B and p share one entry).
 
     A field at rest counts 0 even without diffusion; a field advected but
     not diffused counts as infinitely advection-dominated.
     """
     worst = 0.0
-    for scalar, diffusivity in ((params.beta_B, params.alpha), (params.beta_P, params.beta)):
+    for scalar, diffusivity in zip(params.advection_scalars, params.diffusivities):
         speed = scalar * wind_speed
         if speed > 0.0:
             peclet = h * speed / (2.0 * diffusivity) if diffusivity > 0.0 else math.inf
@@ -349,39 +328,46 @@ def simulate_2d(
     dt: float,
     t_end: float,
     output_times,
-    validate: bool = True,
 ) -> Trajectory:
     """March the lake model to ``t_end``, storing the requested snapshots.
 
     Returns them as one (3, n_nodes, n_snapshots) :class:`Trajectory` whose
     counters sum the Newton work of all steps, half-step retries included:
     Newton iterations (one GMRES solve each), GMRES inner iterations, and
-    steps that fell back to two half steps.
+    steps that fell back to two half steps.  It is validated before it is
+    returned.
 
     The wind is re-evaluated at the end time of every step.  Steps of size
     ``dt`` are shortened where needed to land exactly on each output time.
     Emits a one-time warning when the cell Peclet number of the B or the P
     field exceeds one (pure Galerkin advection can then oscillate).
+    A ValueError names an initial field that does not match the mesh, a
+    non-positive ``dt``, a negative or NaN ``t_end``, and ``output_times``
+    that are empty or leave [0, t_end].
     """
+    if initial.B.size != mesh.n_nodes:
+        raise ValueError("initial field does not match the mesh")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    output_times = np.asarray(sorted(set(float(t) for t in output_times)), dtype=float)
-    if output_times.size == 0 or output_times[0] < 0 or output_times[-1] > t_end:
-        raise ValueError("output times must lie in [0, t_end]")
+    if not t_end >= 0.0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
+    output_times = np.unique(np.asarray(output_times, dtype=float))  # sorted, NaN last
+    if not (output_times.size and 0.0 <= output_times[0] and output_times[-1] <= t_end):
+        raise ValueError("output_times must lie in [0, t_end]")
 
     wind_fn = as_wind(wind)
     h_mesh = mesh.max_edge_length()
     peclet_warned = False
-    stats = _NewtonStats()
+    counters = dict.fromkeys(_COUNTERS, 0)
 
+    y = initial.stack()
     snapshots: list[np.ndarray] = []
     taken: list[float] = []
     if output_times[0] == 0.0:
-        snapshots.append(np.stack([initial.B, initial.p, initial.P]))
+        snapshots.append(y)
         taken.append(0.0)
 
     t = 0.0
-    U = initial
     for target in output_times[output_times > 0.0]:
         while t < target - 1e-12:
             step = min(dt, target - t)
@@ -395,12 +381,12 @@ def simulate_2d(
                         RuntimeWarning,
                     )
                     peclet_warned = True
-            U = newton_be_step(U, step, t_next, mesh, wind_fn, params, _stats=stats)
+            y = newton_be_step(y, step, t_next, mesh, wind_fn, params, counters=counters)
             t = t_next
-        snapshots.append(np.stack([U.B, U.p, U.P]))
+        snapshots.append(y)
         taken.append(t)
 
-    result = Trajectory(np.array(taken), np.stack(snapshots, axis=-1), params, asdict(stats))
-    if validate:
-        result.validate()
+    result = Trajectory(np.array(taken), np.stack(snapshots, axis=-1).reshape(3, mesh.n_nodes, -1),
+                        params, counters)
+    result.validate()
     return result

@@ -75,9 +75,9 @@ def _sort_key(values: np.ndarray) -> np.ndarray:
 
 
 def _delta_diag(n: int, v: float, params: ModelParams) -> np.ndarray:
-    d12 = -(n**2) * params.alpha - 1j * n * params.beta_B * v
-    d3 = -(n**2) * params.beta - 1j * n * params.beta_P * v
-    return np.array([d12, d12, d3])
+    # the movement terms of the (B, p, P) rows, from the parameters' table
+    return np.array([-(n**2) * d - 1j * n * a * v
+                     for d, a in zip(params.diffusivities, params.advection_scalars)])
 
 
 def assemble_jacobian(

@@ -1,27 +1,31 @@
-"""Legacy ASCII VTK output for 2D snapshots, one block write per section."""
+"""Legacy ASCII VTK output for 2D snapshots, one block write per section.
+
+The writer takes the mesh and plain nodal arrays by name: it needs no solver.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ._textio import write_rows
-from .core import ModelParams
 from .mesh import TriMesh
-from .solver2d import Field2D
 
 __all__ = ["write_vtk"]
 
 _TRIANGLE_CELL_TYPE = 5
 
 
-def write_vtk(field: Field2D, mesh: TriMesh, path, params: ModelParams, title: str = "lake state") -> None:
+def write_vtk(mesh: TriMesh, path, point_data: dict, title: str = "lake state") -> None:
     """Write one snapshot as a legacy ASCII unstructured-grid VTK file.
 
-    Point data arrays: B, p, P, and the diagnostic quota Q.
+    ``point_data`` maps each array name to its nodal values, one per mesh
+    node; the arrays are written as ``SCALARS`` sections in the order
+    given.  Raises ValueError, naming the array, if one does not match the
+    mesh.
     """
-    if field.B.size != mesh.n_nodes:
-        raise ValueError("field size does not match mesh")
-    Q = field.quota(params)
+    for name, values in point_data.items():
+        if np.shape(values) != (mesh.n_nodes,):
+            raise ValueError(f"point data {name!r} does not match the mesh")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{title}\n")
@@ -34,7 +38,7 @@ def write_vtk(field: Field2D, mesh: TriMesh, path, params: ModelParams, title: s
         fh.write(f"CELL_TYPES {mesh.n_triangles}\n")
         fh.write(f"{_TRIANGLE_CELL_TYPE}\n" * mesh.n_triangles)
         fh.write(f"POINT_DATA {mesh.n_nodes}\n")
-        for name, values in (("B", field.B), ("p", field.p), ("P", field.P), ("Q", Q)):
+        for name, values in point_data.items():
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            write_rows(fh, values[:, None], "", "\n")
+            write_rows(fh, np.asarray(values, dtype=float)[:, None], "", "\n")

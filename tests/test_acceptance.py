@@ -207,7 +207,7 @@ def test_criterion_6_conservation_2d():
     U0 = Field2D.bump(mesh, P0=0.15)
     snaps = simulate_2d(U0, mesh, None, params, dt=0.5, t_end=50.0,
                         output_times=np.linspace(0.0, 50.0, 6))
-    M, _, _ = assemble_fem(mesh, (0.0, 0.0), params)
+    M, _, _ = assemble_fem(mesh, (0.0, 0.0))
     ones = np.ones(mesh.n_nodes)
     totals = ones @ (M @ (snaps.p + snaps.P))
     drift = float(np.abs(totals - totals[0]).max() / totals[0])
@@ -284,7 +284,7 @@ def test_criterion_9_fem_refinement():
                         dt=0.5, t_end=50.0, output_times=[50.0])
     Bc = sol_c.B[:, -1]
     Bf = sol_f.B[: coarse.n_nodes, -1]  # coarse nodes lead the fine mesh
-    M, _, _ = assemble_fem(coarse, (0.0, 0.0), params)
+    M, _, _ = assemble_fem(coarse, (0.0, 0.0))
     diff = Bc - Bf
     rel_l2 = float(np.sqrt(diff @ (M @ diff)) / np.sqrt(Bc @ (M @ Bc)))
     report(9, rel_l2 <= 0.02, f"refinement L2 change {rel_l2:.2e} (<= 2e-2)")

@@ -52,6 +52,13 @@ class TestModelParams:
     def test_movement_coefficients_may_vanish(self):
         p = default_params(alpha=0.0, beta=0.0, beta_B=0.0, beta_P=0.0, D=0.0)
         assert p.exchange == 0.0
+        assert p.diffusivities == p.advection_scalars == (0.0, 0.0, 0.0)
+
+    def test_movement_table_pairs_p_with_b(self):
+        # rows (B, p, P): internal phosphorus moves with the cells
+        p = default_params(alpha=0.1, beta=0.2, beta_B=0.3, beta_P=0.4)
+        assert p.diffusivities == (0.1, 0.1, 0.2)
+        assert p.advection_scalars == (0.3, 0.3, 0.4)
 
     def test_quota_ordering_enforced(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,58 @@
+"""The package's modules import each other along the documented layers.
+
+Each ``src/bloomsim/*.py`` is read with :mod:`ast`, so no module is
+executed; function-level imports count too.  The layering (README, "Module
+layering"):
+
+* ``_textio`` imports nothing of the package; ``mesh`` and ``wind`` import
+  at most ``_textio``;
+* ``vtkio`` imports only ``mesh`` and ``_textio``, so the writer does not
+  depend on a solver;
+* ``cli`` is the only importer of ``vtkio``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bloomsim"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _internal_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports; ``__init__`` stands for
+    a name taken from the package itself (``from . import __version__``)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    dotted = []  # every imported name as an absolute dotted path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["bloomsim" if node.level else "", node.module]))
+            dotted += [f"{base}.{alias.name}" for alias in node.names]
+    parts = [name.split(".") + [""] for name in dotted]
+    found = {p[1] if p[1] in MODULES else "__init__" for p in parts if p[0] == "bloomsim"}
+    return found - {module}
+
+
+IMPORTS = {module: _internal_imports(module) for module in MODULES}
+
+
+def test_every_module_is_read():
+    assert {"_textio", "cli", "core", "mesh", "solver2d", "vtkio", "wind"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("_textio", set()),
+    ("mesh", {"_textio"}),
+    ("wind", {"_textio"}),
+    ("vtkio", {"mesh", "_textio"}),
+])
+def test_low_layers_import_only_below_them(module, allowed):
+    assert IMPORTS[module] <= allowed, f"{module} imports {sorted(IMPORTS[module] - allowed)}"
+
+
+def test_only_the_cli_imports_the_vtk_writer():
+    importers = {module for module, imported in IMPORTS.items() if "vtkio" in imported}
+    assert importers == {"cli"}

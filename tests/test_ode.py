@@ -151,6 +151,14 @@ class TestIntegrateHomogeneous:
         with pytest.raises(ValueError, match="must be positive"):
             integrate_homogeneous(HomState(1.0, 0.02, 0.1), params_case2, t_end, **tolerances)
 
+    @pytest.mark.parametrize("t_eval", [[np.nan], [0.0, 2.0, 1.0], [0.0, 5.0, 5.0], [-1.0, 1.0], [0.0, 20.0], []],
+                             ids=["nan", "unordered", "repeated", "negative", "past_t_end", "empty"])
+    def test_bad_sample_times_are_usage_errors(self, params_case2, t_eval):
+        # checked before the solve: a ValueError, not an IntegrationError or
+        # a bare IndexError from inside the integrator
+        with pytest.raises(ValueError, match="sample times must be"):
+            integrate_homogeneous(HomState(1.0, 0.02, 0.1), params_case2, 10.0, t_eval=t_eval)
+
 
 # the three sampled-solution shapes: the nodes between the (B, p, P) rows
 # and the samples, none for the well-mixed ODE

@@ -442,6 +442,16 @@ class TestIntegrate:
             integrate_1d(Field1D.bump(grid, P0=0.2), grid, None, params_case3, t_end,
                          **tolerances)
 
+    @pytest.mark.parametrize("sample_times", [[np.nan], [0.0, 2.0, 1.0], [0.0, 5.0, 5.0], [-1.0, 1.0], [0.0, 20.0], []],
+                             ids=["nan", "unordered", "repeated", "negative", "past_t_end", "empty"])
+    def test_bad_sample_times_are_usage_errors(self, params_case3, sample_times):
+        # checked before the solve: a ValueError, not an IntegrationError or
+        # a bare AttributeError from inside the integrator
+        grid = Grid1D(500.0, 11)
+        with pytest.raises(ValueError, match="sample times must be"):
+            integrate_1d(Field1D.bump(grid, P0=0.2), grid, None, params_case3, 10.0,
+                         sample_times=sample_times)
+
     def test_mismatched_initial_grid(self, params_case3):
         grid = Grid1D(500.0, 31)
         with pytest.raises(ValueError):

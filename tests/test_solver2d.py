@@ -34,7 +34,6 @@ from bloomsim.ode import IntegrationError, Trajectory, integrate_homogeneous
 from bloomsim.solver2d import (
     Field2D,
     NewtonError,
-    _NewtonStats,
     assemble_fem,
     newton_be_step,
     simulate_2d,
@@ -55,37 +54,37 @@ def lake_114():
 
 
 class TestAssemble:
-    def test_mass_matrix_sums_to_area(self, lake, params_case3):
-        M, _, _ = assemble_fem(lake, (0.0, 0.0), params_case3)
+    def test_mass_matrix_sums_to_area(self, lake):
+        M, _, _ = assemble_fem(lake, (0.0, 0.0))
         assert M.sum() == pytest.approx(lake.total_area, rel=1e-12)
 
-    def test_mass_matrix_spd(self, params_case3):
+    def test_mass_matrix_spd(self):
         mesh = two_triangle_square()
-        M, _, _ = assemble_fem(mesh, (0.0, 0.0), params_case3)
+        M, _, _ = assemble_fem(mesh, (0.0, 0.0))
         dense = M.toarray()
         assert np.allclose(dense, dense.T)
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
-    def test_stiffness_annihilates_constants(self, lake, params_case3):
-        _, K, _ = assemble_fem(lake, (0.0, 0.0), params_case3)
+    def test_stiffness_annihilates_constants(self, lake):
+        _, K, _ = assemble_fem(lake, (0.0, 0.0))
         ones = np.ones(lake.n_nodes)
         assert np.abs(K @ ones).max() < 1e-10
         dense = K.toarray()
         assert np.allclose(dense, dense.T, atol=1e-12)
         assert np.linalg.eigvalsh(dense).min() > -1e-10
 
-    def test_advection_linear_in_wind(self, lake, params_case3):
-        _, _, C0 = assemble_fem(lake, (0.0, 0.0), params_case3)
+    def test_advection_linear_in_wind(self, lake):
+        _, _, C0 = assemble_fem(lake, (0.0, 0.0))
         assert abs(C0).max() == 0.0
-        _, _, C1 = assemble_fem(lake, (2.0, -1.0), params_case3)
-        _, _, C2 = assemble_fem(lake, (4.0, -2.0), params_case3)
+        _, _, C1 = assemble_fem(lake, (2.0, -1.0))
+        _, _, C2 = assemble_fem(lake, (4.0, -2.0))
         assert np.abs((2 * C1 - C2).toarray()).max() < 1e-12
 
     def test_implicit_heat_step_conserves_mass(self, lake, params_case3, rng):
         # (M + dt a K) u1 = M u0 keeps 1' M u constant: zero column sums of K
         from scipy.sparse.linalg import spsolve
 
-        M, K, _ = assemble_fem(lake, (0.0, 0.0), params_case3)
+        M, K, _ = assemble_fem(lake, (0.0, 0.0))
         u0 = rng.uniform(0.5, 2.0, lake.n_nodes)
         u1 = spsolve((M + 0.5 * params_case3.alpha * K).tocsc(), M @ u0)
         total = np.ones(lake.n_nodes) @ (M @ u0)
@@ -106,18 +105,19 @@ class TestNewtonStep:
     def test_uniform_step_matches_scalar_backward_euler(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 5.0, 0.02, 0.15)
         dt = 0.5
-        U1 = newton_be_step(U0, dt, dt, lake, None, params_case3, tol=1e-13)
+        B, p, P = newton_be_step(U0.stack(), dt, dt, lake, None, params_case3,
+                                 tol=1e-13).reshape(3, -1)
         oracle = scalar_backward_euler(HomState(5.0, 0.1, 0.15), params_case3, dt)
-        assert np.ptp(U1.B) < 1e-10  # stays uniform
-        assert U1.B[0] == pytest.approx(oracle[0], rel=1e-9)
-        assert U1.p[0] == pytest.approx(oracle[1], rel=1e-9)
-        assert U1.P[0] == pytest.approx(oracle[2], rel=1e-9)
+        assert np.ptp(B) < 1e-10  # stays uniform
+        assert B[0] == pytest.approx(oracle[0], rel=1e-9)
+        assert p[0] == pytest.approx(oracle[1], rel=1e-9)
+        assert P[0] == pytest.approx(oracle[2], rel=1e-9)
 
     def test_extinction_state_is_fixed_point(self, lake, params_case2):
         U0 = Field2D.uniform(lake, 0.0, 0.02, params_case2.P_h)
-        U1 = newton_be_step(U0, 1.0, 1.0, lake, None, params_case2)
-        assert np.abs(U1.B).max() < 1e-12
-        assert np.abs(U1.P - params_case2.P_h).max() < 1e-10
+        B, _, P = newton_be_step(U0.stack(), 1.0, 1.0, lake, None, params_case2).reshape(3, -1)
+        assert np.abs(B).max() < 1e-12
+        assert np.abs(P - params_case2.P_h).max() < 1e-10
 
     def test_pure_heat_full_step_conserves_phosphorus(self, lake):
         # no biomass, no exchange: the solve reduces to the heat operator
@@ -125,20 +125,21 @@ class TestNewtonStep:
         rng = np.random.default_rng(3)
         P0 = rng.uniform(0.1, 1.0, lake.n_nodes)
         U0 = Field2D(np.zeros(lake.n_nodes), np.zeros(lake.n_nodes), P0)
-        M, _, _ = assemble_fem(lake, (0.0, 0.0), params)
-        U1 = newton_be_step(U0, 1.0, 1.0, lake, None, params, tol=1e-14)
+        M, _, _ = assemble_fem(lake, (0.0, 0.0))
+        _, _, P1 = newton_be_step(U0.stack(), 1.0, 1.0, lake, None, params,
+                                  tol=1e-14).reshape(3, -1)
         ones = np.ones(lake.n_nodes)
-        assert ones @ (M @ U1.P) == pytest.approx(ones @ (M @ P0), rel=1e-12)
+        assert ones @ (M @ P1) == pytest.approx(ones @ (M @ P0), rel=1e-12)
 
     def test_rejects_nonpositive_dt(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.1)
         with pytest.raises(ValueError):
-            newton_be_step(U0, 0.0, 1.0, lake, None, params_case3)
+            newton_be_step(U0.stack(), 0.0, 1.0, lake, None, params_case3)
 
     def test_rejects_nan_dt(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.1)
         with pytest.raises(ValueError, match="dt must be positive"):
-            newton_be_step(U0, np.nan, 1.0, lake, None, params_case3)
+            newton_be_step(U0.stack(), np.nan, 1.0, lake, None, params_case3)
         with pytest.raises(ValueError, match="dt must be positive"):
             simulate_2d(U0, lake, None, params_case3, dt=np.nan, t_end=1.0,
                         output_times=[0.0, 1.0])
@@ -146,13 +147,13 @@ class TestNewtonStep:
     def test_newton_failure_raises_after_halving(self, lake, params_case3):
         U0 = Field2D.uniform(lake, 1.0, 0.02, 0.1)
         bad_wind = lambda t: (np.nan, 0.0)  # noqa: E731
-        stats = _NewtonStats()
+        counters = {"newton_iterations": 0, "linear_iterations": 0, "half_step_retries": 0}
         with pytest.raises(NewtonError, match=r"t=0\.125 .*residual nan against "
                                                r"tol\*scale .*last linear solve: none"):
-            newton_be_step(U0, 1.0, 1.0, lake, bad_wind, params_case3, _stats=stats)
+            newton_be_step(U0.stack(), 1.0, 1.0, lake, bad_wind, params_case3, counters=counters)
         # levels 0, 1 and 2 each fell back to half steps once; level 3 raised
-        assert stats.half_step_retries == 3
-        assert stats.linear_iterations == 0  # the residual is NaN from the start
+        assert counters["half_step_retries"] == 3
+        assert counters["linear_iterations"] == 0  # the residual is NaN from the start
 
     def test_singular_nodal_block_takes_half_steps(self, lake):
         # extinct biomass without diffusion: the B row of each nodal block is
@@ -162,16 +163,17 @@ class TestNewtonStep:
         a11 = _reaction_kernel(0.0, 0.0, 0.0, params, jacobian=True).jacobian[0, 0]
         assert a11 > 0.0
         U0 = Field2D.uniform(lake, 0.0, 0.02, 0.0)
-        stats = _NewtonStats()
-        U1 = newton_be_step(U0, 1.0 / a11, 1.0 / a11, lake, None, params, _stats=stats)
-        assert stats.half_step_retries == 1
-        assert np.all(U1.B == 0.0)
-        assert np.all(U1.P > 0.0)  # filled from the hypolimnion
+        counters = {"newton_iterations": 0, "linear_iterations": 0, "half_step_retries": 0}
+        B, _, P = newton_be_step(U0.stack(), 1.0 / a11, 1.0 / a11, lake, None, params,
+                                 counters=counters).reshape(3, -1)
+        assert counters["half_step_retries"] == 1
+        assert np.all(B == 0.0)
+        assert np.all(P > 0.0)  # filled from the hypolimnion
 
 
 def full_newton_step(U_n, dt, t_next, mesh, wind, params, tol=1e-12, max_iter=25):
     """Oracle: backward Euler by full Newton, one fresh spsolve per iteration."""
-    M, K, C = assemble_fem(mesh, wind.at(t_next), params)
+    M, K, C = assemble_fem(mesh, wind.at(t_next))
     m = np.asarray(M.sum(axis=1)).ravel()  # lumped mass
     L = [params.alpha * K + params.beta_B * C] * 2 + [params.beta * K + params.beta_P * C]
     old = [U_n.B, U_n.p, U_n.P]
@@ -228,13 +230,13 @@ class TestSimplifiedNewton:
 
 
 def be_residual(U_n, U, dt, t_next, mesh, wind, params):
-    """Norm of the backward-Euler residual of ``U`` and its ``scale``, in the
-    form and order of :func:`newton_be_step`."""
-    M, K, C = assemble_fem(mesh, wind.at(t_next), params)
+    """Norm of the backward-Euler residual of the flat state ``U`` and its
+    ``scale``, in the form and order of :func:`newton_be_step`."""
+    M, K, C = assemble_fem(mesh, wind.at(t_next))
     m = np.asarray(M.sum(axis=1)).ravel()
     L = [params.alpha * K + params.beta_B * C] * 2 + [params.beta * K + params.beta_P * C]
-    old, new = [U_n.B, U_n.p, U_n.P], [U.B, U.p, U.P]
-    rates = _reaction_kernel(U.B, U.p, U.P, params).rates
+    old, new = list(U_n.reshape(3, -1)), list(U.reshape(3, -1))
+    rates = _reaction_kernel(*new, params).rates
     F = np.stack([m * (u - u0) + dt * (Li @ u - m * R)
                   for u, u0, Li, R in zip(new, old, L, rates)])
     return np.linalg.norm(F), max(1.0, *(float(np.linalg.norm(m * u)) for u in old + new))
@@ -316,7 +318,7 @@ class TestRobustness:
         mesh = lake_114
         U0 = Field2D.bump(mesh, B_base, B_peak, Q0, P0)
         try:
-            solves = accepted_solves(U0, dt, mesh, wind, params)
+            solves = accepted_solves(U0.stack(), dt, mesh, wind, params)
         except NewtonError as exc:
             assert "last linear solve" in str(exc)
             return
@@ -384,7 +386,7 @@ class TestSimulate:
         U0 = Field2D.bump(lake, P0=0.15)
         snaps = simulate_2d(U0, lake, None, params, dt=0.5, t_end=50.0,
                             output_times=np.linspace(0.0, 50.0, 6))
-        M, _, _ = assemble_fem(lake, (0.0, 0.0), params)
+        M, _, _ = assemble_fem(lake, (0.0, 0.0))
         ones = np.ones(lake.n_nodes)
         totals = ones @ (M @ (snaps.p + snaps.P))
         drift = np.abs(np.diff(totals)).sum() / totals[0]
@@ -449,7 +451,7 @@ class TestSimulate:
         gale = lambda t: (5.0e5, 0.0)  # noqa: E731 - strongly advective
         with pytest.warns(RuntimeWarning, match="Peclet"):
             simulate_2d(U0, lake, gale, params_case3, dt=0.01, t_end=0.02,
-                        output_times=[0.02], validate=False)
+                        output_times=[0.02])
 
     @pytest.mark.parametrize(
         "overrides",
@@ -463,7 +465,7 @@ class TestSimulate:
         wind = lambda t: (4.0, 0.0)  # noqa: E731
         with pytest.warns(RuntimeWarning, match="Peclet"):
             simulate_2d(U0, lake, wind, params_case3.replace(**overrides), dt=0.01,
-                        t_end=0.02, output_times=[0.02], validate=False)
+                        t_end=0.02, output_times=[0.02])
 
     def test_zero_diffusivity_in_still_water(self, lake, params_case3):
         params = params_case3.replace(alpha=0.0)
@@ -488,6 +490,37 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_2d(U0, lake, None, params_case3, dt=0.5, t_end=10.0,
                         output_times=[0.0, 20.0])
+
+    @pytest.mark.parametrize("output_times", [[np.nan], [0.0, np.nan], [], [-1.0]])
+    def test_bad_output_times_name_the_argument(self, lake, params_case3, output_times):
+        U0 = Field2D.uniform(lake, 1.0, 0.02, 0.2)
+        with pytest.raises(ValueError, match="output_times"):
+            simulate_2d(U0, lake, None, params_case3, dt=0.5, t_end=10.0,
+                        output_times=output_times)
+
+    @pytest.mark.parametrize("t_end", [np.nan, -1.0])
+    def test_bad_t_end_names_the_argument(self, lake, params_case3, t_end):
+        U0 = Field2D.uniform(lake, 1.0, 0.02, 0.2)
+        with pytest.raises(ValueError, match="t_end"):
+            simulate_2d(U0, lake, None, params_case3, dt=0.5, t_end=t_end,
+                        output_times=[0.0])
+
+    def test_initial_field_must_match_the_mesh(self, lake, lake_114, params_case3):
+        U0 = Field2D.uniform(lake_114, 1.0, 0.02, 0.2)
+        with pytest.raises(ValueError, match="initial field does not match the mesh"):
+            simulate_2d(U0, lake, None, params_case3, dt=0.5, t_end=1.0,
+                        output_times=[1.0])
+
+    def test_step_takes_and_returns_the_flat_state(self, lake, params_case3):
+        U0 = Field2D.bump(lake, P0=0.2)
+        y0 = U0.stack()
+        y1 = newton_be_step(y0, 0.5, 0.5, lake, None, params_case3)
+        assert y1.shape == y0.shape == (3 * lake.n_nodes,)
+        np.testing.assert_array_equal(y0, U0.stack())  # the old state is untouched
+        snaps = simulate_2d(U0, lake, None, params_case3, dt=0.5, t_end=0.5,
+                            output_times=[0.0, 0.5])
+        np.testing.assert_array_equal(snaps.y[..., 0], y0.reshape(3, -1))
+        np.testing.assert_array_equal(snaps.y[..., 1], y1.reshape(3, -1))
 
 
 class TestRefinementConsistency:

@@ -5,10 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bloomsim.core import default_params
+from bloomsim.core import QUOTA_B_FLOOR, _quota, default_params
 from bloomsim.mesh import synthetic_lake_mesh, two_triangle_square
 from bloomsim.solver2d import Field2D
 from bloomsim.vtkio import write_vtk
+
+
+def _point_data(field, params):
+    # the arrays the CLI writes: the fields and their reported quota
+    return {"B": field.B, "p": field.p, "P": field.P,
+            "Q": _quota(field.B, field.p, params, QUOTA_B_FLOOR)}
 
 
 @pytest.fixture
@@ -17,7 +23,7 @@ def written(tmp_path):
     params = default_params()
     field = Field2D.uniform(mesh, 2.0, 0.02, 0.4)
     path = tmp_path / "snap.vtk"
-    write_vtk(field, mesh, path, params)
+    write_vtk(mesh, path, _point_data(field, params))
     return mesh, path.read_text().splitlines()
 
 
@@ -57,13 +63,13 @@ def test_values_round_trip(written, tmp_path):
 def test_size_mismatch_rejected(tmp_path):
     mesh = two_triangle_square()
     field = Field2D(np.ones(9), np.ones(9), np.ones(9))
-    with pytest.raises(ValueError):
-        write_vtk(field, mesh, tmp_path / "bad.vtk", default_params())
+    with pytest.raises(ValueError, match="point data 'B' does not match the mesh"):
+        write_vtk(mesh, tmp_path / "bad.vtk", _point_data(field, default_params()))
 
 
 def _write_vtk_per_value(field, mesh, path, params, title):
     # the per-value writer that the batched one replaced, kept as the oracle
-    Q = field.quota(params)
+    Q = _quota(field.B, field.p, params, QUOTA_B_FLOOR)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{title}\n")
@@ -96,6 +102,6 @@ def test_bytes_match_per_value_writer(tmp_path, edge_values):
     field = Field2D(*(np.roll(np.resize(edge_values, n), k) for k in range(3)))
     params = default_params()
     with np.errstate(all="ignore"):
-        write_vtk(field, mesh, tmp_path / "new.vtk", params, title="t=0.5")
+        write_vtk(mesh, tmp_path / "new.vtk", _point_data(field, params), title="t=0.5")
         _write_vtk_per_value(field, mesh, tmp_path / "old.vtk", params, title="t=0.5")
     assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
