@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import csv
 
+#: The format of every float in an output file.
+FLOAT = "%.17g"
+
 
 def write_rows(fh, table, sep: str, end: str) -> None:
     """Write a 2D numeric array, one row per line, in a single ``fh.write``.
 
-    Each value is formatted with ``%.17g``; values are joined by ``sep`` and
+    Each value is formatted with :data:`FLOAT`, or with ``%d`` in an integer
+    array (the same text below 1e17); values are joined by ``sep`` and
     every row, the last included, ends in ``end``.
     """
     n_rows, n_cols = table.shape
-    row = sep.join(["%.17g"] * n_cols) + end
+    row = sep.join(["%d" if table.dtype.kind in "iu" else FLOAT] * n_cols) + end
     fh.write(row * n_rows % tuple(table.ravel().tolist()))
 
 

@@ -107,6 +107,16 @@ def _positive(section: dict, key: str, default: float) -> float:
     return value
 
 
+def _sample_times(section: dict, t_end: float, default: int) -> np.ndarray:
+    """``section["samples"]`` times evenly spaced over [0, t_end]; a
+    ValueError, which :func:`_reading` reports as a :class:`ConfigError`,
+    unless there is at least one."""
+    samples = _integer(section, "samples", default)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return np.linspace(0.0, t_end, samples)
+
+
 def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
@@ -216,7 +226,7 @@ def _run_ode(config, params, out_dir, seed, threads, base_dir):
         initial = HomState(*[float(v) for v in section.get("initial", [5.0, 0.1, 0.15])])
         initial.check_quota(params)
         t_end = _positive(section, "t_end", 4000.0)
-        t_eval = np.linspace(0.0, t_end, _integer(section, "samples", 401))
+        t_eval = _sample_times(section, t_end, 401)
         rtol, atol = _positive(section, "rtol", 1e-8), _positive(section, "atol", 1e-11)
     traj = integrate_homogeneous(initial, params, t_end, rtol=rtol, atol=atol, t_eval=t_eval)
     rows = [
@@ -270,7 +280,7 @@ def _run_sim1d(config, params, out_dir, seed, threads, base_dir):
         initial = _initial(Field1D, section.get("initial"), grid, params,
                            _SECTION_KEYS["initial_1d"], "sim1d.initial")
         t_end = _positive(section, "t_end", 365.0)
-        sample_times = np.linspace(0.0, t_end, _integer(section, "samples", 25))
+        sample_times = _sample_times(section, t_end, 25)
         rtol, atol = _positive(section, "rtol", 1e-8), _positive(section, "atol", 1e-10)
     traj = integrate_1d(initial, grid, wind, params, t_end, rtol=rtol, atol=atol,
                         sample_times=sample_times)

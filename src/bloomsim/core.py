@@ -24,6 +24,11 @@ loss and exchange terms at the raw states.  Domain checks stay in the public
 kernels (:func:`growth_h`, :func:`uptake_rho`, ...); the array kernel does not
 repeat them.
 
+The per-parameter-set constants that the solvers read on every call, the
+quota fallback :attr:`ModelParams.q_hat` and the (3, 1) movement columns,
+are computed once per :class:`ModelParams` and cached on it; a replaced
+parameter set computes its own.
+
 Units follow the parameter table in :class:`ModelParams`: biomass in mgC/m2,
 phosphorus pools in mgP/m2, time in days, lengths in metres.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -165,6 +171,29 @@ class ModelParams:
     def advection_scalars(self) -> tuple[float, float, float]:
         """Advection scalar of the rows (B, p, P): p moves with the cells."""
         return (self.beta_B, self.beta_B, self.beta_P)
+
+    # cached in the instance's __dict__, which the frozen dataclass's
+    # equality, hash and replace() do not read
+    @cached_property
+    def q_hat(self) -> float:
+        """:func:`q_hat` of these parameters, computed once."""
+        return q_hat(self)
+
+    @cached_property
+    def diffusivity_column(self) -> np.ndarray:
+        """:attr:`diffusivities` as a read-only (3, 1) column."""
+        return _column(self.diffusivities)
+
+    @cached_property
+    def advection_column(self) -> np.ndarray:
+        """:attr:`advection_scalars` as a read-only (3, 1) column."""
+        return _column(self.advection_scalars)
+
+
+def _column(values) -> np.ndarray:
+    column = np.array(values)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 #: Baseline constants used throughout the bundled scenarios; r and P_h vary
@@ -390,8 +419,8 @@ def _quota(B, p, params: ModelParams, floor: float = EPS_B):
     :data:`QUOTA_B_FLOOR`, below which p/B is solver noise.
     """
     if isinstance(B, np.ndarray):
-        return np.where(B > floor, p / np.maximum(B, floor), q_hat(params))
-    return p / B if B > floor else q_hat(params)
+        return np.where(B > floor, p / np.maximum(B, floor), params.q_hat)
+    return p / B if B > floor else params.q_hat
 
 
 #: Tube checks and reported quotas of the transect and lake fields apply only
@@ -471,9 +500,9 @@ def _reaction_kernel(B, p, P, params: ModelParams, jacobian: bool = False) -> _R
     pc = np.maximum(p, 0.0)
     Pc = np.maximum(P, 0.0)
     quota = _quota(B, p, params)
-    if isinstance(quota, np.ndarray):
-        q = np.clip(quota, params.Q_m, params.Q_M)
-    else:  # the homogeneous kernels: np.clip would cost ~4 us a call
+    if isinstance(quota, np.ndarray):  # np.clip costs more than the two ufuncs
+        q = np.minimum(np.maximum(quota, params.Q_m), params.Q_M)
+    else:  # the homogeneous kernels: a ufunc would cost ~4 us a call
         q = min(max(quota, params.Q_m), params.Q_M)
     q_inv = 1.0 / q
     loss = params.total_loss

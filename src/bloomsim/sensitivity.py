@@ -17,6 +17,11 @@ averaged inside consecutive ~60-day time bins at every grid node.  Indices
 are estimated per (node, bin) and reported as spatial means with spatial
 standard deviations, which quantify how much the parameter influence varies
 across the domain.
+
+In still water the advection scalars ``beta_B`` and ``beta_P`` do not enter
+the transect model, so design rows that differ only in them (each
+A_B^(beta_B) row and its A row) run the same model: each such group is
+evaluated once and every row in it gets that result or failure.
 """
 
 from __future__ import annotations
@@ -204,6 +209,23 @@ class SensitivityReport:
         return len(self.bin_edges) - 1
 
 
+#: Factors that act only through the wind.
+_ADVECTION_FACTORS = frozenset({"beta_B", "beta_P"})
+
+
+def _row_owners(problem: SobolProblem, samples: np.ndarray) -> list[int]:
+    """For each design row, the first row that runs the same model.
+
+    With wind every row is its own owner; in still water rows are keyed by
+    their factor values without the advection scalars.
+    """
+    if problem.wind is not None:
+        return list(range(len(samples)))
+    inert = [i for i, name in enumerate(problem.names) if name not in _ADVECTION_FACTORS]
+    first: dict[tuple, int] = {}
+    return [first.setdefault(tuple(row), i) for i, row in enumerate(samples[:, inert].tolist())]
+
+
 def _evaluate_row(args):
     """Worker: run the transect model for one factor combination.
 
@@ -261,24 +283,28 @@ def run_sensitivity(
     same base sample across A, B, and every cross matrix) to keep the
     estimators unbiased; more than 1% failed rows aborts with a report.
     Below that, each failed row and its message are kept in the report's
-    ``failures``.
+    ``failures``.  In still water, rows that differ only in the advection
+    scalars are evaluated once and share the result or failure; the
+    failure budget still counts every row.
     The reduction is deterministic for fixed (problem, N, seed) regardless
     of worker scheduling.
     """
     design = saltelli_design(problem, N, seed)
-    jobs = [(i, design.samples[i], problem) for i in range(design.samples.shape[0])]
+    owners = _row_owners(problem, design.samples)
+    jobs = [(i, design.samples[i], problem) for i, owner in enumerate(owners) if owner == i]
     if n_jobs > 1:
         with Pool(n_jobs) as pool:
-            raw = pool.map(_evaluate_row, jobs, chunksize=8)
+            evaluated = pool.map(_evaluate_row, jobs, chunksize=8)
     else:
-        raw = [_evaluate_row(job) for job in jobs]
-    raw.sort(key=lambda item: item[0])
+        evaluated = [_evaluate_row(job) for job in jobs]
+    results = {i: (out, msg) for i, out, msg in evaluated}
+    raw = [(i, *results[owner]) for i, owner in enumerate(owners)]
 
     failures = [(i, msg) for i, out, msg in raw if out is None]
-    if len(failures) > 0.01 * len(jobs):
+    if len(failures) > 0.01 * len(raw):
         sample = "; ".join(f"row {i}: {msg}" for i, msg in failures[:5])
         raise RuntimeError(
-            f"{len(failures)}/{len(jobs)} model evaluations failed, aborting: {sample}"
+            f"{len(failures)}/{len(raw)} model evaluations failed, aborting: {sample}"
         )
 
     failed_blocks = sorted({i % N for i, _ in failures})
@@ -288,7 +314,7 @@ def run_sensitivity(
         raise RuntimeError("too few surviving Saltelli blocks")
 
     width = next(out.size for _, out, msg in raw if out is not None)
-    table = np.zeros((len(jobs), width))
+    table = np.zeros((len(raw), width))
     for i, out, _ in raw:
         if out is not None:
             table[i] = out

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse import csc_matrix, diags, kron
 
-from ._textio import write_rows
+from ._textio import FLOAT
 from .core import ModelParams, _check_fields, _reaction_kernel
 from .ode import Trajectory, _bdf_counters, _solve_bdf
 from .wind import as_wind
@@ -161,13 +161,12 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
     """
     dx = grid.dx
     U = y.reshape(3, grid.Nx)
-    diffusivities = np.array(params.diffusivities)[:, None]
-    speeds = np.array(params.advection_scalars)[:, None] * float(wind(t)[0])
     backward, forward = _differences(U)
-    dU = (
-        diffusivities * ((forward - backward) / dx**2)
-        - speeds * _upwind_gradient(backward, forward, speeds, dx)
-    )
+    dU = params.diffusivity_column * ((forward - backward) / dx**2)
+    east = float(wind(t)[0])
+    if east != 0.0:  # in still water the upwind term is identically zero
+        speeds = params.advection_column * east
+        dU -= speeds * _upwind_gradient(backward, forward, speeds, dx)
     # uptake and recycling enter the p and P rows through the areal forms,
     # which cancel identically and keep the closed budget exact
     dU += _reaction_kernel(*U, params).rates
@@ -217,8 +216,8 @@ def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParam
     from the shared kernel.
     """
     Nx, dx = grid.Nx, grid.dx
-    speeds = np.array(params.advection_scalars)[:, None] * float(wind(t)[0])
-    diffusion = np.repeat(np.array(params.diffusivities)[:, None] / dx**2, Nx, axis=1)
+    speeds = params.advection_column * float(wind(t)[0])
+    diffusion = np.repeat(params.diffusivity_column / dx**2, Nx, axis=1)
     upwind = speeds / dx
     ahead = speeds > 0
     band = np.zeros((3, 3, 3, Nx))
@@ -280,12 +279,15 @@ def write_trajectory_csv(traj: Trajectory, grid: Grid1D, path) -> None:
     Q is :meth:`Trajectory.quota`, q_hat where B <= QUOTA_B_FLOOR.  Values
     carry 17 significant digits (round-trip exact) and rows end in
     ``\\r\\n``, the csv module's default dialect; each sample is written
-    as one block.
+    as one block.  The x column is formatted once per file and t once per
+    sample, into a row template that takes the four fields.
     """
-    x = grid.x
-    Q = traj.quota()
+    # "\0" marks where each row's t goes; no formatted number contains it
+    template = "".join(f"\0,{FLOAT % x},{FLOAT},{FLOAT},{FLOAT},{FLOAT}\r\n"
+                       for x in grid.x.tolist())
+    # (nt, Nx, 4): per sample, per node, the B, Q, P, p columns
+    values = np.stack([traj.B, traj.quota(), traj.P, traj.p]).transpose(2, 1, 0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,x,B,Q,P,p\r\n")
-        for i, t in enumerate(traj.t):
-            write_rows(fh, np.column_stack([np.full(x.size, t), x, traj.B[:, i], Q[:, i],
-                                            traj.P[:, i], traj.p[:, i]]), ",", "\r\n")
+        for t, sample in zip(traj.t.tolist(), values):
+            fh.write(template.replace("\0", FLOAT % t) % tuple(sample.ravel().tolist()))

@@ -229,7 +229,10 @@ def newton_be_step(
         counters = dict.fromkeys(_COUNTERS, 0)
     ops = _operators_for(mesh)
     C = ops.advection(as_wind(wind)(t_next))
-    L = [d * ops.K + a * C for d, a in zip(params.diffusivities, params.advection_scalars)]
+    # one operator per distinct entry of the movement table: p shares B's
+    movement = list(zip(params.diffusivities, params.advection_scalars))
+    built = {(d, a): d * ops.K + a * C for d, a in dict.fromkeys(movement)}
+    L = [built[entry] for entry in movement]
     m = ops.m_lumped
     n = m.size
     U_old = np.array(y_n, dtype=float).reshape(3, n)

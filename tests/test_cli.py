@@ -227,13 +227,14 @@ class TestSubcommands:
     def test_sobol_manifest_records_row_failures(self, tmp_path, monkeypatch):
         calls = []
 
-        def third_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
+        # row 18 is a B row: it has no still-water twin to share the failure
+        def b_row_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
             calls.append(1)
-            if len(calls) == 3:
+            if len(calls) == 19:
                 raise RuntimeError("injected failure")
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", third_fails)
+        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", b_row_fails)
         path = write_config(tmp_path, {
             "params": {"r": 1.0, "P_h": 2.0},
             "sobol": {"N": 16, "Nx": 11, "horizon": 20.0, "bin_days": 10.0, "sample_every": 5.0},
@@ -241,7 +242,7 @@ class TestSubcommands:
         out = tmp_path / "out"
         run_config(path, "sobol", out, seed=42)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["row_failures"] == [[2, "RuntimeError: injected failure"]]
+        assert manifest["row_failures"] == [[18, "RuntimeError: injected failure"]]
         assert manifest["n_failed_blocks"] == 1
 
     def test_manifest_hash_stable_and_config_echoed(self, tmp_path):
@@ -337,9 +338,12 @@ class TestMain:
         ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "atol": 0.0}}, "sim1d"),
         ("sim2d", {"sim2d": {"t_end": 1.0, "dt": 0.0}}, "sim2d"),
         ("sim2d", {"sim2d": {"t_end": 1.0, "output_times": [0.0, 2.0]}}, "sim2d"),
+        ("ode", {"ode": {"t_end": 10.0, "samples": 0}}, "ode"),
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "samples": 0}}, "sim1d"),
     ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial",
             "ode-t_end-sign", "ode-rtol", "ode-atol", "ode-initial-quota", "sim1d-t_end-sign",
-            "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times"])
+            "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times", "ode-samples-zero",
+            "sim1d-samples-zero"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
         path = write_config(tmp_path, {"params": CASE3, **body})
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),

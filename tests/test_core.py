@@ -6,6 +6,7 @@ formula, and the quota interpolation independently of the implementation.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ class TestModelParams:
         p = default_params()
         with pytest.raises(DomainError):
             p.replace(z_m=-5.0)
+
+    def test_cached_q_hat_follows_the_parameters(self):
+        p = default_params(r=1.0, P_h=2.0)
+        assert p.q_hat == q_hat(p)
+        lean = p.replace(P_h=0.1)
+        assert lean.q_hat == q_hat(lean) != p.q_hat
+        for params in (p, lean):
+            back = pickle.loads(pickle.dumps(params))
+            assert back == params and hash(back) == hash(params)
+            assert back.q_hat == q_hat(params)
+            assert back.replace(P_h=0.5).q_hat == q_hat(default_params(r=1.0, P_h=0.5))
+
+    def test_cached_movement_columns(self):
+        p = default_params(alpha=0.1, beta=0.2, beta_B=0.3, beta_P=0.4)
+        assert p.diffusivity_column.shape == p.advection_column.shape == (3, 1)
+        assert p.diffusivity_column[:, 0].tolist() == list(p.diffusivities)
+        assert p.advection_column[:, 0].tolist() == list(p.advection_scalars)
+        assert p.replace(beta_P=0.0).advection_column[:, 0].tolist() == [0.3, 0.3, 0.0]
+        with pytest.raises(ValueError):
+            p.advection_column[0, 0] = 1.0
 
 
 class TestLightIntensity:

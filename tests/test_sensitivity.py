@@ -15,12 +15,14 @@ from bloomsim.core import default_params
 from bloomsim.sensitivity import (
     SensitivityReport,
     SobolProblem,
+    _evaluate_row,
     default_problem,
     estimate_indices,
     run_sensitivity,
     saltelli_design,
     write_report_csv,
 )
+from bloomsim.wind import SyntheticWind
 
 
 def ishigami(X, a=7.0, b=0.1):
@@ -205,19 +207,21 @@ class TestPipeline:
 
     def test_row_failure_is_recorded(self, monkeypatch):
         # one failed row of 16 * 7 stays under the 1% abort: it drops its
-        # Saltelli block and is kept, with its message, in the report
+        # Saltelli block and is kept, with its message, in the report.  The
+        # failure is injected into a B row, which has no still-water twin
+        # (the first 96 rows are each evaluated once, in order)
         calls = []
 
-        def sixth_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
+        def b_row_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
             calls.append(1)
-            if len(calls) == 6:
+            if len(calls) == 22:
                 raise RuntimeError("injected failure")
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", sixth_fails)
+        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", b_row_fails)
         problem = default_problem(Nx=11, horizon=20.0, bin_days=10.0, sample_every=5.0)
         report = run_sensitivity(problem, N=16, seed=3, n_jobs=1)
-        assert report.failures == [(5, "RuntimeError: injected failure")]
+        assert report.failures == [(21, "RuntimeError: injected failure")]
         assert report.n_failed_blocks == 1 and report.N == 15
 
     def test_collapsed_ranges_error(self):
@@ -271,3 +275,65 @@ class TestPipeline:
                             report.N,
                         ])
             assert out.read_bytes() == expected.read_bytes()
+
+
+def _counting_integrate_1d(monkeypatch, fail_on=None):
+    # wrap the transect solver the rows call; the list grows by one per call
+    calls = []
+
+    def counted(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_on:
+            raise RuntimeError("injected failure")
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", counted)
+    return calls
+
+
+class TestStillWaterTwins:
+    """In still water a row that differs from an earlier one only in the
+    advection scalars is not evaluated again."""
+
+    N, SEED = 4, 11
+
+    @staticmethod
+    def problem(**overrides):
+        return default_problem(Nx=11, horizon=20.0, bin_days=10.0, sample_every=5.0,
+                               **overrides)
+
+    def test_one_solve_per_still_water_row_and_same_indices(self, monkeypatch):
+        problem = self.problem()
+        calls = _counting_integrate_1d(monkeypatch)
+        report = run_sensitivity(problem, N=self.N, seed=self.SEED, n_jobs=1)
+        d = problem.d
+        assert len(calls) == self.N * (d + 1)
+
+        # the oracle: every design row evaluated on its own
+        design = saltelli_design(problem, self.N, self.SEED)
+        table = np.array([_evaluate_row((i, row, problem))[1]
+                          for i, row in enumerate(design.samples)])
+        S1, ST = estimate_indices(table, design)
+        shape = (d, report.n_bins, problem.Nx)
+        assert np.array_equal(report.S1_mean, S1.reshape(shape).mean(axis=2))
+        assert np.array_equal(report.S1_sd, S1.reshape(shape).std(axis=2))
+        assert np.array_equal(report.ST_mean, ST.reshape(shape).mean(axis=2))
+        assert np.array_equal(report.ST_sd, ST.reshape(shape).std(axis=2))
+
+    def test_windy_problem_evaluates_every_row(self, monkeypatch):
+        problem = self.problem(wind=SyntheticWind(amplitude=5.0, period=10.0))
+        calls = _counting_integrate_1d(monkeypatch)
+        run_sensitivity(problem, N=self.N, seed=self.SEED, n_jobs=1)
+        assert len(calls) == self.N * (problem.d + 2)
+
+    def test_twin_row_shares_its_owners_failure(self, monkeypatch):
+        # row 0 (A) fails, and so does its twin in the beta_B cross matrix,
+        # row (2 + 4) N; both count against the 1% budget
+        _counting_integrate_1d(monkeypatch, fail_on=1)
+        twin = 6 * self.N
+        with pytest.raises(RuntimeError) as exc:
+            run_sensitivity(self.problem(), N=self.N, seed=self.SEED, n_jobs=1)
+        assert str(exc.value) == (
+            f"2/{7 * self.N} model evaluations failed, aborting: "
+            f"row 0: RuntimeError: injected failure; row {twin}: RuntimeError: injected failure"
+        )
