@@ -371,6 +371,7 @@ def _run_sobol(config, params, out_dir, seed, threads, base_dir):
         "ranking": [k for k, _ in ranking],
         "n_failed_blocks": report.n_failed_blocks,
         "row_failures": report.failures,
+        "counters": report.counters,
     }
 
 

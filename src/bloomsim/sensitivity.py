@@ -3,7 +3,9 @@
 The pipeline follows the classic two-matrix design: a quasi-random Sobol'
 base sequence (SciPy's generator, Joe & Kuo direction numbers, seeded by an
 Owen-type digital scramble) provides paired sample matrices A and B plus the
-d cross matrices A_B^(i), giving N (d + 2) model evaluations.  First-order
+d cross matrices A_B^(i), giving N (d + 2) model evaluations.  The generator
+(``scipy.stats.qmc``) is imported inside :func:`saltelli_design`, so only a
+process that draws a design loads ``scipy.stats``.  First-order
 indices use the Saltelli (2010) estimator
 
     S1_i = mean(f_B (f_ABi - f_A)) / Var(f),
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._textio import export_csv
 from .core import ModelParams, default_params
@@ -62,7 +63,15 @@ FACTOR_BOUNDS = {
 
 @dataclass(frozen=True)
 class SobolProblem:
-    """Factor ranges plus the simulation scenario they drive."""
+    """Factor ranges plus the simulation scenario they drive.
+
+    Construction rejects, with a ValueError, a scenario that no design row
+    can run: a non-finite or non-positive ``L``, ``horizon``, ``bin_days``
+    or ``sample_every``, fewer than 3 grid nodes, bins shorter than the
+    sampling interval (a bin with no sample), and an initial bump that
+    fails :meth:`Field1D.validate` under ``base_params``.  The grid and
+    the initial field are built once here, as ``grid`` and ``initial``.
+    """
 
     base_params: ModelParams
     names: tuple = FACTOR_NAMES
@@ -77,10 +86,25 @@ class SobolProblem:
     B_peak: float = 10.0
     Q0: float = 0.02
     P0: float | None = None  # defaults to base_params.P_h
+    grid: Grid1D = field(init=False, repr=False, compare=False)
+    initial: Field1D = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.bounds):
             raise ValueError("names and bounds disagree")
+        for name in ("L", "horizon", "bin_days", "sample_every"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.bin_days < self.sample_every:
+            raise ValueError(f"bin_days ({self.bin_days!r}) is shorter than sample_every "
+                             f"({self.sample_every!r}), so a bin would hold no sample")
+        grid = Grid1D(self.L, self.Nx)
+        P0 = self.base_params.P_h if self.P0 is None else self.P0
+        initial = Field1D.bump(grid, B_base=self.B_base, B_peak=self.B_peak, Q0=self.Q0, P0=P0)
+        initial.validate(self.base_params)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "initial", initial)
         param_fields = set(type(self.base_params).__dataclass_fields__)
         for name, (lo, hi) in zip(self.names, self.bounds):
             if not lo < hi:
@@ -139,6 +163,10 @@ def saltelli_design(problem: SobolProblem, N: int, seed: int) -> SaltelliDesign:
         raise ValueError("N must be at least 2")
     if N & (N - 1):
         warnings.warn(f"N={N} is not a power of two; Sobol' balance is degraded")
+    # imported here, not at module level: loading scipy.stats costs about
+    # 0.45 s and 16 MiB (scipy 1.17, 2-core x86), which no other run needs
+    from scipy.stats import qmc
+
     d = problem.d
     engine = qmc.Sobol(d=2 * d, scramble=True, seed=seed)
     with warnings.catch_warnings():
@@ -203,6 +231,7 @@ class SensitivityReport:
     n_failed_blocks: int = 0
     flags: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)  # (row, message) of each failed row
+    counters: dict = field(default_factory=dict)  # solves and summed nfev, njev, nlu
 
     @property
     def n_bins(self) -> int:
@@ -229,24 +258,20 @@ def _row_owners(problem: SobolProblem, samples: np.ndarray) -> list[int]:
 def _evaluate_row(args):
     """Worker: run the transect model for one factor combination.
 
-    Returns the bin-averaged biomass per (bin, node), flattened, or the
-    error message on failure.
+    Returns ``(index, output, message, counters)``: the bin-averaged
+    biomass per (bin, node), flattened, and the trajectory's solver
+    counters, or ``None`` for both and the error message on failure.
     """
     index, values, problem = args
     try:
         overrides = dict(zip(problem.names, values))
         params = problem.base_params.replace(**overrides)
-        grid = Grid1D(problem.L, problem.Nx)
-        P0 = problem.base_params.P_h if problem.P0 is None else problem.P0
-        initial = Field1D.bump(
-            grid, B_base=problem.B_base, B_peak=problem.B_peak, Q0=problem.Q0, P0=P0
-        )
         times = np.arange(0.0, problem.horizon + 1e-9, problem.sample_every)
         if times[-1] < problem.horizon:
             times = np.append(times, problem.horizon)
         traj = integrate_1d(
-            initial,
-            grid,
+            problem.initial,
+            problem.grid,
             problem.wind,
             params,
             problem.horizon,
@@ -266,9 +291,9 @@ def _evaluate_row(args):
                 traj.t <= edges[b + 1] if last else traj.t < edges[b + 1]
             )
             out[b] = traj.B[:, mask].mean(axis=1)
-        return index, out.ravel(), None
+        return index, out.ravel(), None, traj.counters
     except Exception as exc:  # noqa: BLE001 - row failures are data, not bugs
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return index, None, f"{type(exc).__name__}: {exc}", None
 
 
 def run_sensitivity(
@@ -285,7 +310,10 @@ def run_sensitivity(
     Below that, each failed row and its message are kept in the report's
     ``failures``.  In still water, rows that differ only in the advection
     scalars are evaluated once and share the result or failure; the
-    failure budget still counts every row.
+    failure budget still counts every row.  The report's ``counters`` hold
+    ``solves``, the number of rows evaluated, and the sums of the solver
+    counters ``nfev``, ``njev`` and ``nlu`` over them (a failed solve adds
+    none).
     The reduction is deterministic for fixed (problem, N, seed) regardless
     of worker scheduling.
     """
@@ -297,8 +325,11 @@ def run_sensitivity(
             evaluated = pool.map(_evaluate_row, jobs, chunksize=8)
     else:
         evaluated = [_evaluate_row(job) for job in jobs]
-    results = {i: (out, msg) for i, out, msg in evaluated}
+    results = {i: (out, msg) for i, out, msg, _ in evaluated}
     raw = [(i, *results[owner]) for i, owner in enumerate(owners)]
+    counters = {key: sum(c[key] for *_, c in evaluated if c is not None)
+                for key in ("nfev", "njev", "nlu")}
+    counters["solves"] = len(evaluated)
 
     failures = [(i, msg) for i, out, msg in raw if out is None]
     if len(failures) > 0.01 * len(raw):
@@ -350,6 +381,7 @@ def run_sensitivity(
         n_failed_blocks=len(failed_blocks),
         flags=flags,
         failures=failures,
+        counters=counters,
     )
 
 

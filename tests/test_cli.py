@@ -1,6 +1,9 @@
 """Config-driven runs: validation, outputs, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +14,10 @@ import bloomsim.sensitivity
 import bloomsim.solver1d
 from bloomsim.cli import ConfigError, export_csv, load_config, main, run_config
 from bloomsim.core import QUOTA_B_FLOOR, default_params, q_hat
+from bloomsim.sensitivity import FACTOR_NAMES
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 CASE2 = {"r": 0.7, "P_h": 0.2}
 CASE3 = {"r": 1.0, "P_h": 0.2}
@@ -245,6 +250,33 @@ class TestSubcommands:
         assert manifest["row_failures"] == [[18, "RuntimeError: injected failure"]]
         assert manifest["n_failed_blocks"] == 1
 
+    def test_sobol_manifest_counters(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=bloomsim.solver1d.rhs_1d, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        path = write_config(tmp_path, {
+            "params": {"r": 1.0, "P_h": 2.0},
+            "sobol": {"N": 4, "Nx": 11, "horizon": 20.0, "bin_days": 10.0, "sample_every": 5.0},
+        })
+
+        def counters(threads):
+            out = tmp_path / f"threads{threads}"
+            run_config(path, "sobol", out, seed=42, threads=threads)
+            return json.loads((out / "manifest.json").read_text())["counters"]
+
+        parallel = counters(2)
+        # counted in this process only: forked workers would count out of sight
+        monkeypatch.setattr(bloomsim.solver1d, "rhs_1d", counted)
+        serial = counters(1)
+        # still water: each beta_B cross-matrix row reuses its A row's solve
+        assert serial["solves"] == 4 * (len(FACTOR_NAMES) + 1)
+        assert serial["nfev"] == len(calls) > 0
+        assert 0 < serial["njev"] <= serial["nlu"]
+        assert parallel == serial
+
     def test_manifest_hash_stable_and_config_echoed(self, tmp_path):
         body = {"params": CASE2, "stability": {"n_max": 3}}
         path = write_config(tmp_path, body)
@@ -256,6 +288,50 @@ class TestSubcommands:
         assert (tmp_path / "o1" / "spectrum.csv").read_bytes() == (
             tmp_path / "o2" / "spectrum.csv"
         ).read_bytes()
+
+
+class TestStartup:
+    """``scipy.stats`` serves only the Saltelli design, so a fresh process
+    loads it with the first design it draws and not before."""
+
+    SCRIPT = """
+import json, sys
+from bloomsim.cli import run_config
+run_config(sys.argv[1], "ode", sys.argv[2])
+before = "scipy.stats" in sys.modules
+from bloomsim.sensitivity import default_problem, saltelli_design
+samples = saltelli_design(default_problem(), 4, seed=7).samples
+print(json.dumps({"before": before, "after": "scipy.stats" in sys.modules,
+                  "shape": samples.shape, "first": samples[0].tolist(),
+                  "last": samples[-1].tolist()}))
+"""
+
+    @pytest.fixture(scope="class")
+    def startup(self, tmp_path_factory):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        out = tmp_path_factory.mktemp("startup")
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(CONFIGS_DIR / "ode_persistent.json"), str(out)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_runs_without_a_design_leave_scipy_stats_unloaded(self, startup):
+        assert startup["before"] is False
+
+    def test_first_design_loads_scipy_stats(self, startup):
+        assert startup["after"] is True
+
+    def test_design_is_unchanged(self, startup):
+        # the N = 4, seed 7 desk design as drawn with qmc imported at module level
+        assert startup["shape"] == [28, 5]
+        np.testing.assert_allclose(startup["first"], [
+            6.634079925715923, 0.7662562123499811, 0.09836902514100075,
+            0.20868929978460074, 0.04677264520898462], rtol=1e-14)
+        np.testing.assert_allclose(startup["last"], [
+            9.15521290898323, 0.4640416802838445, 0.05286142555065454,
+            0.017253091000020503, 0.05757349422201515], rtol=1e-14)
 
 
 class TestBundledConfigs:
@@ -340,10 +416,20 @@ class TestMain:
         ("sim2d", {"sim2d": {"t_end": 1.0, "output_times": [0.0, 2.0]}}, "sim2d"),
         ("ode", {"ode": {"t_end": 10.0, "samples": 0}}, "ode"),
         ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "samples": 0}}, "sim1d"),
+        *[("sobol", {"sobol": {"N": 2, "Nx": 11, "horizon": 20.0, **bad}}, "sobol") for bad in (
+            {"bin_days": 0.0}, {"sample_every": 0.0}, {"horizon": -10.0}, {"sample_every": -1.0},
+            {"bin_days": 2.0, "sample_every": 5.0}, {"bin_days": -5.0}, {"L": float("inf")},
+            {"L": 0.0}, {"Nx": 2}, {"initial": {"Q0": 0.5}}, {"initial": {"B_peak": -20.0}},
+            {"initial": {"B_base": -1.0}}, {"initial": {"P0": -1.0}},
+        )],
     ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial",
             "ode-t_end-sign", "ode-rtol", "ode-atol", "ode-initial-quota", "sim1d-t_end-sign",
             "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times", "ode-samples-zero",
-            "sim1d-samples-zero"])
+            "sim1d-samples-zero", "sobol-bin_days-zero", "sobol-sample_every-zero",
+            "sobol-horizon-sign", "sobol-sample_every-sign", "sobol-bin-without-sample",
+            "sobol-bin_days-sign", "sobol-L-infinite", "sobol-L-zero", "sobol-Nx",
+            "sobol-initial-quota", "sobol-initial-B_peak", "sobol-initial-B_base",
+            "sobol-initial-P0"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
         path = write_config(tmp_path, {"params": CASE3, **body})
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),
