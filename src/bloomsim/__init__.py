@@ -3,6 +3,7 @@
 Subpackage map:
 
 * :mod:`bloomsim.core` parameters and reaction kernels
+* :mod:`bloomsim.bdf` the stiff (BDF) integrator of the ODE and the transect
 * :mod:`bloomsim.ode` homogeneous integration and equilibria
 * :mod:`bloomsim.stability` mode-resolved linear stability
 * :mod:`bloomsim.wind` wind ingestion and evaluation

@@ -1,9 +1,10 @@
 """Integration of the movement-free system and equilibrium location.
 
 The homogeneous (well-mixed) limit of the lake model is a stiff three-state
-ODE.  This module integrates it with an adaptive implicit multistep scheme
-(BDF, via SciPy) using the analytic reaction Jacobian, and locates the
-extinction and positive equilibria.
+ODE.  This module integrates it with the variable-order BDF scheme of
+:mod:`bloomsim.bdf`, whose dense iteration matrix is factored by LAPACK, using
+the analytic reaction Jacobian, and locates the extinction and positive
+equilibria.
 
 The positive equilibrium is the root of one scalar equation in the biomass.
 With L = l + D/z_m and the quota-free uptake coefficient
@@ -29,9 +30,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from . import bdf
+from .bdf import IntegrationError
 from .core import (
     EPS_B,
     DomainError,
@@ -60,16 +62,6 @@ __all__ = [
 
 # iteration cap of the equilibrium polish, which starts at the scalar root
 _NEWTON_MAX_ITER = 60
-
-
-class IntegrationError(RuntimeError):
-    """Stiffness or step-size failure, or a sample that fails validation;
-    carries the time and state reached (the last good one on failure)."""
-
-    def __init__(self, message: str, t: float, state: np.ndarray):
-        super().__init__(f"{message} (t={t:g}, state={state})")
-        self.t = t
-        self.state = state
 
 
 class ConvergenceError(RuntimeError):
@@ -146,45 +138,6 @@ def _jac_flat(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
     return reaction_jacobian(*y, params)
 
 
-def _solve_bdf(fun, jac, y0, t_end, rtol, atol, t_eval, args=None, convert=()):
-    """BDF from t = 0 to ``t_end`` for both the homogeneous and the transect
-    integrator: argument checks, solve, and :class:`IntegrationError` on
-    failure, also for exceptions of the types in ``convert``."""
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("tolerances must be positive")
-    t_eval = np.asarray(t_eval, dtype=float)
-    if not (t_eval.ndim == 1 and t_eval.size and 0.0 <= t_eval[0] and t_eval[-1] <= t_end
-            and np.all(np.diff(t_eval) > 0.0)):
-        raise ValueError("sample times must be strictly increasing in [0, t_end]")
-    try:
-        sol = solve_ivp(
-            fun,
-            (0.0, float(t_end)),
-            y0,
-            method="BDF",
-            jac=jac,
-            rtol=rtol,
-            atol=atol,
-            t_eval=t_eval,
-            args=args,
-        )
-    except convert as exc:
-        raise IntegrationError(f"BDF integration failed: {exc}", 0.0, y0) from exc
-    if not sol.success:
-        t_last = float(sol.t[-1]) if sol.t.size else 0.0
-        y_last = sol.y[:, -1] if sol.t.size else y0
-        raise IntegrationError(f"BDF integration failed: {sol.message}", t_last, y_last)
-    return sol
-
-
-def _bdf_counters(sol) -> dict:
-    """The integrator's counts of right-hand-side evaluations, Jacobian
-    evaluations and LU factorizations."""
-    return {"nfev": sol.nfev, "njev": sol.njev, "nlu": sol.nlu}
-
-
 def integrate_homogeneous(
     initial: HomState,
     params: ModelParams,
@@ -203,18 +156,19 @@ def integrate_homogeneous(
     ------
     ValueError
         If ``t_end``, ``rtol`` or ``atol`` is not positive (NaN included),
-        ``t_eval`` is not strictly increasing in [0, t_end], or ``initial``
-        leaves the quota tube.
+        ``t_eval`` is not strictly increasing in [0, t_end], ``initial``
+        leaves the quota tube or is not finite.
     IntegrationError
-        On integrator failure (step-size underflow under stiffness), with
-        the last reached time and state attached.
+        On integrator failure (step-size underflow under stiffness, or a
+        singular iteration matrix), with the time and state of the last
+        accepted step attached.
     """
     initial.check_quota(params)
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 201)
-    sol = _solve_bdf(_rhs_flat, _jac_flat, initial.as_array(), t_end, rtol, atol, t_eval,
-                     args=(params,))
-    traj = Trajectory(sol.t, sol.y, params, _bdf_counters(sol))
+    t, y, counters = bdf.solve(_rhs_flat, _jac_flat, initial.as_array(), t_end, rtol, atol,
+                               t_eval, args=(params,))
+    traj = Trajectory(t, y, params, counters)
     traj.validate()
     return traj
 

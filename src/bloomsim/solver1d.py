@@ -14,11 +14,12 @@ grid:
   which makes the plain nodal sum of the diffusion terms vanish exactly
   (a discretely conservative closure).
 
-Time integration uses the adaptive implicit BDF scheme with the exact
-sparse Jacobian: three-by-three blocks of tridiagonal bands, assembled into
-a fixed CSC pattern.  BDF calls :func:`rhs_1d` and the Jacobian directly on
-its flat (3 Nx,) state, with the ``solve_ivp`` argument order
-``(t, y, grid, wind, params)``.  :class:`Field1D` is the type of initial
+Time integration uses the variable-order BDF scheme of :mod:`bloomsim.bdf`
+with the exact sparse Jacobian: three-by-three blocks of tridiagonal bands,
+assembled into a fixed CSC pattern, on which BDF builds its iteration matrix
+for SuperLU.  BDF calls :func:`rhs_1d` and the Jacobian directly on its
+flat (3 Nx,) state, with the argument order ``(t, y, grid, wind, params)``
+of :func:`bloomsim.bdf.solve`.  :class:`Field1D` is the type of initial
 fields; the samples come back as one (3, Nx, nt)
 :class:`~bloomsim.ode.Trajectory`, which exports as long-format CSV with
 17 significant digits, one block write per sample.
@@ -34,7 +35,8 @@ from scipy.sparse import csc_matrix, diags, kron
 
 from ._textio import FLOAT
 from .core import ModelParams, _check_fields, _reaction_kernel
-from .ode import Trajectory, _bdf_counters, _solve_bdf
+from . import bdf
+from .ode import Trajectory
 from .wind import as_wind
 
 __all__ = [
@@ -148,7 +150,7 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
 
     ``y`` holds the (3 Nx,) nodal values in :meth:`Field1D.stack` order
     (B, p, P) and the result has the same layout; the argument order is
-    that of ``solve_ivp(rhs_1d, ..., args=(grid, wind, params))``.  The
+    that of ``bdf.solve(rhs_1d, ..., args=(grid, wind, params))``.  The
     rows are read as views of ``y``, which is left unchanged.  ``wind`` is
     a ``t -> (u, v)`` evaluator in m/day (:func:`~bloomsim.wind.as_wind`
     makes one); the scalar transect wind is its east component.
@@ -206,10 +208,12 @@ def _three_point(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
 def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> csc_matrix:
     """Exact Jacobian of :func:`rhs_1d` on the fixed sparsity pattern.
 
-    Takes the arguments of ``rhs_1d`` in the same order, as ``solve_ivp``
-    passes them to ``jac``; rows and columns follow the flat (B, p, P)
-    layout.  The CSC pattern and the position of each band entry in it
-    are built once per Nx (:func:`_band_layout`).
+    Takes the arguments of ``rhs_1d`` in the same order, as
+    :func:`bloomsim.bdf.solve` passes them to ``jac``; rows and columns
+    follow the flat (B, p, P) layout, and the pattern stores the whole
+    diagonal, as BDF's sparse route needs.  The CSC pattern and the
+    position of each band entry in it are built once per Nx
+    (:func:`_band_layout`).
 
     Each field's transport is a tridiagonal block, its upwind side frozen
     at the current sign of the wind; the nodal 3x3 reaction blocks come
@@ -246,28 +250,27 @@ def integrate_1d(
     """Integrate the transect model to ``t_end`` with samples on request.
 
     BDF gets the exact sparse Jacobian of the right-hand side.  The
-    returned trajectory's ``y`` is a (3, Nx, nt) view of BDF's samples.
+    returned trajectory's ``y`` is a (3, Nx, nt) view of BDF's samples,
+    and its ``counters`` are BDF's ``nfev``, ``njev`` and ``nlu``.
 
     Raises
     ------
     ValueError
         If ``t_end``, ``rtol`` or ``atol`` is not positive (NaN included),
         ``sample_times`` are not strictly increasing in [0, t_end], or the
-        initial field does not match the grid.
+        initial field does not match the grid or is not finite.
     IntegrationError
-        On stiffness failure, carrying the last reached state, or when
-        ``validate`` is set and a sample fails :meth:`Trajectory.validate`.
+        On step-size underflow or a singular iteration matrix, carrying the
+        time and state of the last accepted step, or when ``validate`` is
+        set and a sample fails :meth:`Trajectory.validate`.
     """
     if initial.B.size != grid.Nx:
         raise ValueError("initial field does not match the grid")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 11)
-    # singular iteration matrices (e.g. non-finite forcing) surface as
-    # low-level SuperLU and ValueError failures; present them as
-    # IntegrationError
-    sol = _solve_bdf(rhs_1d, _jacobian_1d, initial.stack(), t_end, rtol, atol, sample_times,
-                     args=(grid, as_wind(wind), params), convert=(RuntimeError, ValueError))
-    traj = Trajectory(sol.t, sol.y.reshape(3, grid.Nx, -1), params, _bdf_counters(sol))
+    t, y, counters = bdf.solve(rhs_1d, _jacobian_1d, initial.stack(), t_end, rtol, atol,
+                               sample_times, args=(grid, as_wind(wind), params))
+    traj = Trajectory(t, y.reshape(3, grid.Nx, -1), params, counters)
     if validate:
         traj.validate()
     return traj

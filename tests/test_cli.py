@@ -292,16 +292,20 @@ class TestSubcommands:
 
 class TestStartup:
     """``scipy.stats`` serves only the Saltelli design, so a fresh process
-    loads it with the first design it draws and not before."""
+    loads it with the first design it draws and not before; the package's
+    own BDF integrator leaves ``scipy.integrate`` unloaded throughout."""
 
     SCRIPT = """
 import json, sys
 from bloomsim.cli import run_config
-run_config(sys.argv[1], "ode", sys.argv[2])
+run_config(sys.argv[1], "ode", sys.argv[3] + "/ode")
+run_config(sys.argv[2], "sim1d", sys.argv[3] + "/sim1d")
 before = "scipy.stats" in sys.modules
+integrate = "scipy.integrate" in sys.modules  # scipy.stats loads it
 from bloomsim.sensitivity import default_problem, saltelli_design
 samples = saltelli_design(default_problem(), 4, seed=7).samples
 print(json.dumps({"before": before, "after": "scipy.stats" in sys.modules,
+                  "integrate": integrate,
                   "shape": samples.shape, "first": samples[0].tolist(),
                   "last": samples[-1].tolist()}))
 """
@@ -312,7 +316,8 @@ print(json.dumps({"before": before, "after": "scipy.stats" in sys.modules,
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
         out = tmp_path_factory.mktemp("startup")
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(CONFIGS_DIR / "ode_persistent.json"), str(out)],
+            [sys.executable, "-c", self.SCRIPT, str(CONFIGS_DIR / "ode_persistent.json"),
+             str(CONFIGS_DIR / "sim1d_realwind.json"), str(out)],
             capture_output=True, text=True, env=env, check=True,
         )
         return json.loads(done.stdout.splitlines()[-1])
@@ -322,6 +327,9 @@ print(json.dumps({"before": before, "after": "scipy.stats" in sys.modules,
 
     def test_first_design_loads_scipy_stats(self, startup):
         assert startup["after"] is True
+
+    def test_ode_and_sim1d_runs_leave_scipy_integrate_unloaded(self, startup):
+        assert startup["integrate"] is False
 
     def test_design_is_unchanged(self, startup):
         # the N = 4, seed 7 desk design as drawn with qmc imported at module level

@@ -496,6 +496,17 @@ class TestIntegrate:
             integrate_1d(Field1D.bump(grid, P0=0.2), grid, bad_wind,
                          params_case3, 10.0)
 
+    def test_singular_factor_carries_the_last_step(self):
+        # the wind turns NaN after t = 3, and with it the iteration matrix;
+        # the error names the last accepted step, not the start
+        grid = Grid1D(500.0, 11)
+        wind = lambda t: (np.nan, 0.0) if t > 3.0 else (20.0, 0.0)  # noqa: E731
+        with pytest.raises(IntegrationError, match="BDF integration failed") as info:
+            integrate_1d(Field1D.bump(grid, P0=0.2), grid, wind, default_params(r=1.0, P_h=2.0),
+                         10.0, sample_times=[0.0, 10.0])
+        assert 0.0 < info.value.t <= 3.0
+        assert np.isfinite(info.value.state).all()
+
 
 class TestExport:
     def test_long_format_csv(self, tmp_path, params_case3):
