@@ -176,21 +176,24 @@ def _wind_from(section: dict | None, base_dir: Path):
 
 def _initial(field_cls, section: dict | None, domain, params: ModelParams,
              keys: set, context: str):
-    # initial fields of sim1d (Field1D on a grid) and sim2d (Field2D on a mesh)
+    # validated initial fields of sim1d (Field1D on a grid) and sim2d (Field2D on a mesh)
     section = dict(section or {"kind": "bump"})
     _reject_unknown(section, keys, context)
     kind = section.pop("kind", "bump")
     if kind == "uniform":
-        return field_cls.uniform(
+        field = field_cls.uniform(
             domain,
             float(section.get("B", 5.0)),
             float(section.get("Q", 0.02)),
             float(section.get("P", params.P_h)),
         )
-    if kind == "bump":
+    elif kind == "bump":
         section.setdefault("P0", params.P_h if params.P_h > 0 else 0.005)
-        return field_cls.bump(domain, **{k: float(v) for k, v in section.items()})
-    raise ConfigError(f"unknown initial kind {kind!r}")
+        field = field_cls.bump(domain, **{k: float(v) for k, v in section.items()})
+    else:
+        raise ConfigError(f"unknown initial kind {kind!r}")
+    field.validate(params)
+    return field
 
 
 def _config_hash(config: dict) -> str:
@@ -251,6 +254,10 @@ def _run_stability(config, params, out_dir, seed, threads, base_dir):
     which = section.get("equilibrium", "extinction")
     with _reading("stability section"):
         n_max, wind_speed = _integer(section, "n_max", 30), float(section.get("wind_speed", 1.0))
+        # the sweep's largest advection term, n_max a v, must be finite too
+        if n_max < 1 or not np.isfinite(n_max * max(params.advection_scalars) * wind_speed):
+            raise ValueError(f"need n_max >= 1 and a finite wind_speed up to mode n_max, "
+                             f"got n_max={n_max}, wind_speed={wind_speed!r}")
     if which == "extinction":
         eq = extinction_state(params)
     elif which == "positive":

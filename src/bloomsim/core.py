@@ -24,10 +24,12 @@ loss and exchange terms at the raw states.  Domain checks stay in the public
 kernels (:func:`growth_h`, :func:`uptake_rho`, ...); the array kernel does not
 repeat them.
 
-The per-parameter-set constants that the solvers read on every call, the
-quota fallback :attr:`ModelParams.q_hat` and the (3, 1) movement columns,
-are computed once per :class:`ModelParams` and cached on it; a replaced
-parameter set computes its own.
+The quota fallback :attr:`ModelParams.q_hat`, read by the solvers on every
+call, is computed once per :class:`ModelParams` and cached on it.  Movement
+has one implementation, :class:`Transport`, in the form m y' = -T(v) y +
+m R(y) that the transect and the lake share (Hundsdorfer & Verwer,
+*Numerical Solution of Time-Dependent Advection-Diffusion-Reaction
+Equations*, Springer 2003, ch. I and III).
 
 Units follow the parameter table in :class:`ModelParams`: biomass in mgC/m2,
 phosphorus pools in mgP/m2, time in days, lengths in metres.
@@ -41,6 +43,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 __all__ = [
     "EPS_B",
@@ -178,22 +181,6 @@ class ModelParams:
     def q_hat(self) -> float:
         """:func:`q_hat` of these parameters, computed once."""
         return q_hat(self)
-
-    @cached_property
-    def diffusivity_column(self) -> np.ndarray:
-        """:attr:`diffusivities` as a read-only (3, 1) column."""
-        return _column(self.diffusivities)
-
-    @cached_property
-    def advection_column(self) -> np.ndarray:
-        """:attr:`advection_scalars` as a read-only (3, 1) column."""
-        return _column(self.advection_scalars)
-
-
-def _column(values) -> np.ndarray:
-    column = np.array(values)[:, None]
-    column.flags.writeable = False
-    return column
 
 
 #: Baseline constants used throughout the bundled scenarios; r and P_h vary
@@ -473,6 +460,80 @@ def _check_fields(B, p, P, params: ModelParams) -> None:
     failure = _tube_violation(np.stack([B, p, P])[..., None], params)
     if failure is not None:
         raise ValueError(failure[1])
+
+
+class Transport:
+    """The movement T(v) = blockdiag_i(d_i K + a_i sum_k c_k(v) A_k) of the
+    rows (B, p, P) for a wind v, from a domain's stiffness ``K`` (zero row
+    sums), advection directions A_k and ``coefficients`` v -> (c_k(v)), and
+    the movement table (d_i, a_i) of :class:`ModelParams`.  T keeps one
+    canonical CSR pattern, the union of those of K and the A_k repeated
+    down the diagonal; zero coefficients are skipped.
+    """
+
+    def __init__(self, K, directions, coefficients, diffusivities, advection_scalars):
+        sources = [csr_matrix(S) for S in (K, *directions)]
+        union = sum(abs(S) for S in sources)
+        n, nnz = K.shape[0], union.nnz
+        rows = np.repeat(np.arange(n), np.diff(union.indptr))
+        self._stiffness, *self._directions = [np.asarray(S[rows, union.indices]).ravel()
+                                              for S in sources]
+        self._coefficients = coefficients
+        self._d, self._a = np.array([diffusivities, advection_scalars], dtype=float)[..., None]
+        blocks = np.arange(3)[:, None]
+        self.shape = (3 * n, 3 * n)
+        self._pattern = ((union.indices + n * blocks).ravel(),
+                         np.r_[(union.indptr[:-1] + nnz * blocks).ravel(), 3 * nnz])
+
+    def _stacked(self, values: np.ndarray) -> csr_matrix:
+        return csr_matrix((values.ravel(), *self._pattern), shape=self.shape)
+
+    @cached_property
+    def _operators(self):
+        # blockdiag(d_i K) and each blockdiag(a_i A_k), built on first use:
+        # the lake asks only for matrix and would carry them unused
+        return (self._stacked(self._d * self._stiffness),
+                [self._stacked(self._a * A) for A in self._directions])
+
+    def apply(self, v, y: np.ndarray) -> np.ndarray:
+        """T(v) y for a flat (3 n,) state ``y``."""
+        stiffness, directions = self._operators
+        out = stiffness @ y
+        for ck, A in zip(self._coefficients(v), directions):
+            if ck:
+                out += ck * (A @ y)
+        return out
+
+    def _values(self, v) -> np.ndarray:
+        # the stored entries of T(v), in the order of its CSR pattern
+        moved = sum(ck * A for ck, A in zip(self._coefficients(v), self._directions) if ck)
+        return (self._d * self._stiffness + self._a * moved).ravel()
+
+    def matrix(self, v) -> csr_matrix:
+        """T(v) as a canonical CSR matrix."""
+        return self._stacked(self._values(v))
+
+    @cached_property
+    def _jacobian_layout(self):
+        # the CSC pattern of T plus nodal 3x3 blocks (the sorted distinct column-major
+        # keys of their entries) and the position in it of each of those entries
+        indices, indptr = self._pattern
+        N, n = self.shape[0], self.shape[0] // 3
+        a, b, i = np.indices((3, 3, n)).reshape(3, -1)
+        rows = np.repeat(np.arange(N), np.diff(indptr))
+        keys = np.r_[indices, b * n + i] * N + np.r_[rows, a * n + i]
+        pattern, position = np.unique(keys, return_inverse=True)
+        indptr = np.searchsorted(pattern, np.arange(N + 1) * N)
+        return pattern % N, indptr, np.split(position, [indices.size])
+
+    def jacobian(self, v, blocks: np.ndarray) -> csc_matrix:
+        """-T(v) plus the nodal 3x3 blocks (3, 3, n) of a reaction Jacobian,
+        in canonical CSC with the whole diagonal stored."""
+        indices, indptr, (from_transport, from_blocks) = self._jacobian_layout
+        data = np.zeros(indices.size)
+        data[from_transport] = -self._values(v)
+        data[from_blocks] += blocks.ravel()
+        return csc_matrix((data, indices, indptr), shape=self.shape)
 
 
 class _Reactions(NamedTuple):

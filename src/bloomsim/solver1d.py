@@ -3,20 +3,20 @@
 The transect evolves three nodal arrays in the reaction kernel's row order
 (B, p, P): biomass, internal and dissolved phosphorus.  The cell quota
 Q = p/B is not evolved; it is derived from the state, with the kernel's one
-quota convention (q_hat where B <= EPS_B).  Spatial terms on the uniform
-grid:
+quota convention (q_hat where B <= EPS_B).  The state moves by
+y' = -T(v) y + R(y), with T the :class:`~bloomsim.core.Transport` of the
+uniform grid (p moves with the cells that carry it, at B's coefficients):
 
-* diffusion by the central 3-point stencil and advection by first-order
-  upwinding on the sign of the transport speed, with each row's diffusivity
-  and advection scalar from the movement table of ``ModelParams`` (p moves
-  with the cells that carry it, at B's coefficients),
+* central diffusion and first-order upwind advection: K = -Laplacian /
+  dx^2, and the backward and forward gradients / dx take the east wind's
+  coefficients (max(u, 0), min(u, 0)),
 * zero-flux boundaries through ghost values copied from the boundary node,
   which makes the plain nodal sum of the diffusion terms vanish exactly
   (a discretely conservative closure).
 
 Time integration uses the variable-order BDF scheme of :mod:`bloomsim.bdf`
-with the exact sparse Jacobian: three-by-three blocks of tridiagonal bands,
-assembled into a fixed CSC pattern, on which BDF builds its iteration matrix
+with the exact sparse Jacobian, -T(v) plus the kernel's nodal 3x3 reaction
+blocks, on a fixed CSC pattern on which BDF builds its iteration matrix
 for SuperLU.  BDF calls :func:`rhs_1d` and the Jacobian directly on its
 flat (3 Nx,) state, with the argument order ``(t, y, grid, wind, params)``
 of :func:`bloomsim.bdf.solve`.  :class:`Field1D` is the type of initial
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags, kron
+from scipy.sparse import csc_matrix, diags
 
 from ._textio import FLOAT
-from .core import ModelParams, _check_fields, _reaction_kernel
+from .core import ModelParams, Transport, _check_fields, _reaction_kernel
 from . import bdf
 from .ode import Trajectory
 from .wind import as_wind
@@ -130,19 +130,16 @@ class Field1D:
         _check_fields(self.B, self.p, self.P, params)
 
 
-def _differences(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # backward and forward differences of each row of U, from one
-    # zero-padded buffer; the ghosts copy the boundary value, so the
-    # difference across each end is 0
-    padded = np.zeros((U.shape[0], U.shape[1] + 1))
-    np.subtract(U[:, 1:], U[:, :-1], out=padded[:, 1:-1])
-    return padded[:, :-1], padded[:, 1:]
-
-
-def _upwind_gradient(backward: np.ndarray, forward: np.ndarray, speed, dx: float) -> np.ndarray:
-    # one-sided difference taken from the upwind side of the local speed;
-    # boundary ghosts copy the boundary value, so the upwind slope there is 0
-    return np.where(speed > 0, backward, forward) / dx
+@lru_cache
+def _transport(grid: Grid1D, diffusivities, advection_scalars) -> Transport:
+    # the ghost-copy -Laplacian / dx^2 and the one-sided gradients / dx; an
+    # east wind u reads the slope on its upwind side
+    step = np.full(grid.Nx - 1, 1.0 / grid.dx)
+    backward = diags([-step, np.r_[0.0, step]], [-1, 0])
+    forward = diags([np.r_[-step, 0.0], step], [0, 1])
+    return Transport((backward - forward) / grid.dx, (backward, forward),
+                     lambda v: (max(float(v[0]), 0.0), min(float(v[0]), 0.0)),
+                     diffusivities, advection_scalars)
 
 
 def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> np.ndarray:
@@ -154,86 +151,31 @@ def rhs_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> 
     rows are read as views of ``y``, which is left unchanged.  ``wind`` is
     a ``t -> (u, v)`` evaluator in m/day (:func:`~bloomsim.wind.as_wind`
     makes one); the scalar transect wind is its east component.
-    The Laplacian and upwind differences of the three fields come from one
-    pass over the stacked rows, and the reaction terms from the shared
-    kernel at the cell quota, so like the 2D solver they see states clipped
-    to >= 0 in their nonlinear coefficients.  With spatially constant
-    fields and still water the derivative reduces to the homogeneous
-    reaction rates at every node.
+    The derivative is -T(v) y plus the reaction terms of the shared kernel
+    at the cell quota, so like the 2D solver they see states clipped to
+    >= 0 in their nonlinear coefficients.  With spatially constant fields
+    and still water the derivative reduces to the homogeneous reaction
+    rates at every node.
     """
-    dx = grid.dx
-    U = y.reshape(3, grid.Nx)
-    backward, forward = _differences(U)
-    dU = params.diffusivity_column * ((forward - backward) / dx**2)
-    east = float(wind(t)[0])
-    if east != 0.0:  # in still water the upwind term is identically zero
-        speeds = params.advection_column * east
-        dU -= speeds * _upwind_gradient(backward, forward, speeds, dx)
     # uptake and recycling enter the p and P rows through the areal forms,
     # which cancel identically and keep the closed budget exact
-    dU += _reaction_kernel(*U, params).rates
-    return dU.reshape(-1)
-
-
-def _jac_sparsity(Nx: int):
-    # three coupled tridiagonal blocks: every block pair may couple nodewise,
-    # spatial stencils couple nearest neighbours
-    tridiagonal = diags([1, 1, 1], [-1, 0, 1], shape=(Nx, Nx), dtype=np.int8)
-    return kron(np.ones((3, 3), dtype=np.int8), tridiagonal, format="csr")
-
-
-@lru_cache
-def _band_layout(Nx: int):
-    # the CSC pattern of _jac_sparsity(Nx) and, for each stored entry, its
-    # position in the (3, 3, 3, Nx) band array: band[a, b, k, i] is the
-    # entry at row a*Nx + i, column b*Nx + i + k - 1
-    pattern = _jac_sparsity(Nx).tocsc()
-    rows = pattern.indices
-    cols = np.repeat(np.arange(3 * Nx), np.diff(pattern.indptr))
-    a, i = np.divmod(rows, Nx)
-    b, j = np.divmod(cols, Nx)
-    return pattern, np.ravel_multi_index((a, b, j - i + 1, i), (3, 3, 3, Nx))
-
-
-def _three_point(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    # (sub, diag, super) bands of a difference operator under the ghost-copy
-    # closure: coefficients of U[i-1], U[i], U[i+1] in row i summing to zero,
-    # with no neighbour beyond either end
-    sub, sup = sub.copy(), sup.copy()
-    sub[..., 0] = 0.0
-    sup[..., -1] = 0.0
-    return np.stack((sub, -(sub + sup), sup), axis=-2)
+    dU = _reaction_kernel(*y.reshape(3, grid.Nx), params).rates.reshape(-1)
+    dU -= _transport(grid, params.diffusivities, params.advection_scalars).apply(wind(t), y)
+    return dU
 
 
 def _jacobian_1d(t: float, y: np.ndarray, grid: Grid1D, wind, params: ModelParams) -> csc_matrix:
-    """Exact Jacobian of :func:`rhs_1d` on the fixed sparsity pattern.
+    """Exact Jacobian of :func:`rhs_1d`: -T(v) plus the kernel's nodal 3x3
+    reaction blocks (:meth:`~bloomsim.core.Transport.jacobian`).
 
     Takes the arguments of ``rhs_1d`` in the same order, as
     :func:`bloomsim.bdf.solve` passes them to ``jac``; rows and columns
-    follow the flat (B, p, P) layout, and the pattern stores the whole
-    diagonal, as BDF's sparse route needs.  The CSC pattern and the
-    position of each band entry in it are built once per Nx
-    (:func:`_band_layout`).
-
-    Each field's transport is a tridiagonal block, its upwind side frozen
-    at the current sign of the wind; the nodal 3x3 reaction blocks come
-    from the shared kernel.
+    follow the flat (B, p, P) layout.  The pattern has tridiagonal diagonal
+    blocks and diagonal off-diagonal blocks, in canonical CSC with the whole
+    diagonal stored, as BDF's sparse route needs.
     """
-    Nx, dx = grid.Nx, grid.dx
-    speeds = params.advection_column * float(wind(t)[0])
-    diffusion = np.repeat(params.diffusivity_column / dx**2, Nx, axis=1)
-    upwind = speeds / dx
-    ahead = speeds > 0
-    band = np.zeros((3, 3, 3, Nx))
-    fields = np.arange(3)
-    band[fields, fields] = _three_point(
-        diffusion + np.where(ahead, upwind, 0.0), diffusion - np.where(ahead, 0.0, upwind)
-    )
-    band[:, :, 1] += _reaction_kernel(*y.reshape(3, Nx), params, jacobian=True).jacobian
-
-    pattern, source = _band_layout(Nx)
-    return csc_matrix((band.reshape(-1)[source], pattern.indices, pattern.indptr),
-                      shape=pattern.shape)
+    blocks = _reaction_kernel(*y.reshape(3, grid.Nx), params, jacobian=True).jacobian
+    return _transport(grid, params.diffusivities, params.advection_scalars).jacobian(wind(t), blocks)
 
 
 def integrate_1d(

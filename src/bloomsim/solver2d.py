@@ -5,8 +5,9 @@ zero-flux boundaries.  Spatial operators are the standard P1 matrices: the
 mass matrix M (consistent form exposed by :func:`assemble_fem`; its row
 sums, a node vector, are the lumped mass of the time stepping), the
 stiffness matrix K, and an advection matrix C(v) = integral (v . grad
-phi_j) phi_i, linear in the wind vector.  Row i of the state moves by
-d_i K + a_i C(v), from the movement table of ``ModelParams``.
+phi_j) phi_i = v_x Cx + v_y Cy.  Row i of the state moves by d_i K + a_i
+C(v), from the movement table of ``ModelParams``, through the shared
+:class:`~bloomsim.core.Transport`.
 Reactions are interpolated nodewise (group finite elements), which makes
 the internal uptake/recycling exchange between p and P cancel exactly and
 keeps the closed phosphorus budget conservative to solver tolerance; with
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .core import ModelParams, _check_fields, _reaction_kernel
+from .core import ModelParams, Transport, _check_fields, _reaction_kernel
 from .mesh import TriMesh
 from .ode import Trajectory
 from .wind import as_wind
@@ -141,10 +142,6 @@ class FemOperators:
     Cy: csr_matrix      # advection in y
     m_lumped: np.ndarray  # row sums of M, one per node
 
-    def advection(self, v) -> csr_matrix:
-        """C(v) = vx Cx + vy Cy, linear in the wind vector."""
-        return float(v[0]) * self.Cx + float(v[1]) * self.Cy
-
 
 def _assemble_operators(mesh: TriMesh) -> FemOperators:
     n = mesh.n_nodes
@@ -174,16 +171,25 @@ def _operators_for(mesh: TriMesh) -> FemOperators:
     return ops
 
 
+def _transport_for(mesh: TriMesh, params: ModelParams) -> Transport:
+    # cached on the mesh for the last movement table asked for
+    table = (params.diffusivities, params.advection_scalars)
+    if getattr(mesh, "_transport", (None,))[0] != table:
+        ops = _operators_for(mesh)
+        mesh._transport = (table, Transport(ops.K, (ops.Cx, ops.Cy), tuple, *table))
+    return mesh._transport[1]
+
+
 def assemble_fem(mesh: TriMesh, v):
     """Mass, stiffness, and advection matrices for a wind vector ``v``.
 
     Returns ``(M, K, C)`` with M symmetric positive definite, K symmetric
     positive semidefinite with zero row sums, and C = C(v) linear in the
     wind.  Row i of the model moves by ``d_i K + a_i C``, with the movement
-    table of ``ModelParams``; the caller applies it.
+    table of ``ModelParams``; :class:`~bloomsim.core.Transport` applies it.
     """
     ops = _operators_for(mesh)
-    return ops.M, ops.K, ops.advection(v)
+    return ops.M, ops.K, float(v[0]) * ops.Cx + float(v[1]) * ops.Cy
 
 
 #: Keys of the work counters that each step adds to.
@@ -207,15 +213,15 @@ def newton_be_step(
     returns the new one; ``counters``, a dict with the keys of
     :data:`_COUNTERS`, gets the step's work added.
 
-    Solves ``M_L (U - U_n) + dt (L U - M_L R(U)) = 0`` by inexact Newton,
+    Solves ``M_L (U - U_n) + dt (T U - M_L R(U)) = 0`` by inexact Newton,
     with ``M_L = diag(m)`` for the lumped mass vector ``m`` of
-    :class:`FemOperators` and ``L_i = d_i K + a_i C(v)`` per row.  Each
+    :class:`FemOperators` and ``T = blockdiag(d_i K + a_i C(v))``.  Each
     iteration evaluates the reaction terms and their exact Jacobian R' once
     and solves ``J delta = -F`` by restarted GMRES (Saad & Schultz 1986;
     Knoll & Keyes, J. Comput. Phys. 193, 2004).
-    J is applied matrix-free, ``m x + dt L x`` per field minus the nodal
-    coupling ``dt m R' x``, and preconditioned by the inverse of its nodal
-    3x3 blocks ``m I + dt diag(L) - dt m R'``.  ``tol`` is relative to the
+    J is applied matrix-free, ``m x + dt T x`` minus the nodal coupling
+    ``dt m R' x``, and preconditioned by the inverse of its nodal 3x3
+    blocks ``m I + dt diag(T) - dt m R'``.  ``tol`` is relative to the
     larger scale of ``M_L U_n`` and of ``M_L U`` at the current iterate.  A
     linear solve that fails (GMRES ``info != 0``, or a singular nodal block)
     ends the iteration.  On non-convergence the step is retried as two half
@@ -227,32 +233,24 @@ def newton_be_step(
         raise ValueError("dt must be positive")
     if counters is None:
         counters = dict.fromkeys(_COUNTERS, 0)
-    ops = _operators_for(mesh)
-    C = ops.advection(as_wind(wind)(t_next))
-    # one operator per distinct entry of the movement table: p shares B's
-    movement = list(zip(params.diffusivities, params.advection_scalars))
-    built = {(d, a): d * ops.K + a * C for d, a in dict.fromkeys(movement)}
-    L = [built[entry] for entry in movement]
-    m = ops.m_lumped
+    T = _transport_for(mesh, params).matrix(as_wind(wind)(t_next))
+    m = _operators_for(mesh).m_lumped
     n = m.size
     U_old = np.array(y_n, dtype=float).reshape(3, n)
 
     scale_old = max(1.0, *(float(np.linalg.norm(m * u)) for u in U_old))
 
-    def spatial(X):
-        return np.stack([L_i @ x for L_i, x in zip(L, X)])
-
     def count(_):
         counters["linear_iterations"] += 1
 
-    # m + dt diag(L) per field: the spatial part of each nodal block
-    own = m + dt * np.stack([L_i.diagonal() for L_i in L])
+    # m + dt diag(T) per field: the spatial part of each nodal block
+    own = m + dt * T.diagonal().reshape(3, n)
 
     y = U_old
     solve = "none"
     for it in range(_MAX_ITER + 1):
         react = _reaction_kernel(*y, params, jacobian=True)
-        F = m * (y - U_old) + dt * (spatial(y) - m * react.rates)
+        F = m * (y - U_old) + dt * ((T @ y.ravel()).reshape(3, n) - m * react.rates)
         # a step from (near) zero fields must not stop on an absolute 1e-12
         scale = max(scale_old, *(float(np.linalg.norm(m * u)) for u in y))
         res = float(np.linalg.norm(F))
@@ -271,7 +269,7 @@ def newton_be_step(
 
         def apply_J(x):
             X = x.reshape(3, n)
-            return (m * X + dt * spatial(X) - np.einsum("ijn,jn->in", coupling, X)).ravel()
+            return (m * X + dt * (T @ x).reshape(3, n) - np.einsum("ijn,jn->in", coupling, X)).ravel()
 
         def apply_precond(x):
             return np.einsum("nij,jn->in", inverse, x.reshape(3, n)).ravel()

@@ -430,6 +430,14 @@ class TestMain:
             {"L": 0.0}, {"Nx": 2}, {"initial": {"Q0": 0.5}}, {"initial": {"B_peak": -20.0}},
             {"initial": {"B_base": -1.0}}, {"initial": {"P0": -1.0}},
         )],
+        ("stability", {"stability": {"n_max": 0}}, "stability"),
+        ("stability", {"stability": {"wind_speed": float("nan")}}, "stability"),
+        ("stability", {"stability": {"wind_speed": 1e308}}, "stability"),
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "initial": {"kind": "uniform", "B": -1}}},
+         "sim1d"),
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "initial": {"Q0": 0.5}}}, "sim1d"),
+        ("sim2d", {"sim2d": {"t_end": 1.0, "initial": {"kind": "uniform", "B": -1}}}, "sim2d"),
+        ("sim2d", {"sim2d": {"t_end": 1.0, "initial": {"Q0": 0.001}}}, "sim2d"),
     ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial",
             "ode-t_end-sign", "ode-rtol", "ode-atol", "ode-initial-quota", "sim1d-t_end-sign",
             "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times", "ode-samples-zero",
@@ -437,7 +445,9 @@ class TestMain:
             "sobol-horizon-sign", "sobol-sample_every-sign", "sobol-bin-without-sample",
             "sobol-bin_days-sign", "sobol-L-infinite", "sobol-L-zero", "sobol-Nx",
             "sobol-initial-quota", "sobol-initial-B_peak", "sobol-initial-B_base",
-            "sobol-initial-P0"])
+            "sobol-initial-P0", "stability-n_max-zero", "stability-wind_speed-nan",
+            "stability-wind_speed-overflow", "sim1d-initial-B", "sim1d-initial-quota",
+            "sim2d-initial-B", "sim2d-initial-quota"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
         path = write_config(tmp_path, {"params": CASE3, **body})
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),

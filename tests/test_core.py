@@ -86,15 +86,6 @@ class TestModelParams:
             assert back.q_hat == q_hat(params)
             assert back.replace(P_h=0.5).q_hat == q_hat(default_params(r=1.0, P_h=0.5))
 
-    def test_cached_movement_columns(self):
-        p = default_params(alpha=0.1, beta=0.2, beta_B=0.3, beta_P=0.4)
-        assert p.diffusivity_column.shape == p.advection_column.shape == (3, 1)
-        assert p.diffusivity_column[:, 0].tolist() == list(p.diffusivities)
-        assert p.advection_column[:, 0].tolist() == list(p.advection_scalars)
-        assert p.replace(beta_P=0.0).advection_column[:, 0].tolist() == [0.3, 0.3, 0.0]
-        with pytest.raises(ValueError):
-            p.advection_column[0, 0] = 1.0
-
 
 class TestLightIntensity:
     def test_surface_returns_incident_light(self, params_case2):

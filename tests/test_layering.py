@@ -8,7 +8,9 @@ layering"):
   ``wind`` import at most ``_textio``;
 * ``vtkio`` imports only ``mesh`` and ``_textio``, so the writer does not
   depend on a solver;
-* ``cli`` is the only importer of ``vtkio``.
+* ``cli`` is the only importer of ``vtkio``;
+* ``solver1d`` and ``solver2d`` do not import each other, and both take
+  their transport operator from ``core``.
 """
 
 import ast
@@ -62,6 +64,13 @@ def test_low_layers_import_only_below_them(module, allowed):
 def test_only_the_cli_imports_the_vtk_writer():
     importers = {module for module, imported in IMPORTS.items() if "vtkio" in imported}
     assert importers == {"cli"}
+
+
+def test_solvers_share_the_transport_of_core():
+    # one transport operator for the transect and the lake, in core
+    assert "solver2d" not in IMPORTS["solver1d"] and "solver1d" not in IMPORTS["solver2d"]
+    for module in ("solver1d", "solver2d"):
+        assert "bloomsim.core.Transport" in _dotted_imports(module), module
 
 
 def test_no_module_imports_scipy_integrate():

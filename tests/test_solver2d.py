@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
-from scipy.sparse import bmat, diags
+from scipy.sparse import block_diag, bmat, diags
 from scipy.sparse.linalg import spsolve
 
 from bloomsim import solver2d
@@ -79,6 +79,19 @@ class TestAssemble:
         _, _, C1 = assemble_fem(lake, (2.0, -1.0))
         _, _, C2 = assemble_fem(lake, (4.0, -2.0))
         assert np.abs((2 * C1 - C2).toarray()).max() < 1e-12
+
+    @pytest.mark.parametrize("v", [(0.0, 0.0), (20.0, 0.0), (-3.0, 7.5)])
+    def test_stacked_transport_is_the_per_row_operators(self, lake, params_case3, rng, v):
+        # T(v) = blockdiag(d_i K + a_i C(v)) over the movement table, entry
+        # for entry as the per-row operators give it, and applied alike
+        _, K, C = assemble_fem(lake, v)
+        table = zip(params_case3.diffusivities, params_case3.advection_scalars)
+        per_row = block_diag([d * K + a * C for d, a in table]).toarray()
+        transport = solver2d._transport_for(lake, params_case3)
+        assert np.array_equal(transport.matrix(v).toarray(), per_row)
+        y = rng.uniform(0.0, 2.0, 3 * lake.n_nodes)
+        moved = per_row @ y
+        assert np.allclose(transport.apply(v, y), moved, rtol=1e-13, atol=1e-13 * abs(moved).max())
 
     def test_implicit_heat_step_conserves_mass(self, lake, params_case3, rng):
         # (M + dt a K) u1 = M u0 keeps 1' M u constant: zero column sums of K
