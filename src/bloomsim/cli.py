@@ -118,6 +118,8 @@ def _sample_times(section: dict, t_end: float, default: int) -> np.ndarray:
 
 
 def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"bad {context} section: must be a JSON object, not {mapping!r}")
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
@@ -367,6 +369,8 @@ def _run_sobol(config, params, out_dir, seed, threads, base_dir):
             **{k: float(v) for k, v in initial.items()},
         )
         N = _integer(section, "N", 256)
+        if N < 2:
+            raise ValueError(f"N must be at least 2, got {N}")
     report = run_sensitivity(problem, N, seed, n_jobs=threads)
     report_path = out_dir / "sobol_indices.csv"
     write_report_csv(report, report_path)

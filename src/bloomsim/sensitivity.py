@@ -28,6 +28,7 @@ evaluated once and every row in it gets that result or failure.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -68,9 +69,11 @@ class SobolProblem:
     Construction rejects, with a ValueError, a scenario that no design row
     can run: a non-finite or non-positive ``L``, ``horizon``, ``bin_days``
     or ``sample_every``, fewer than 3 grid nodes, bins shorter than the
-    sampling interval (a bin with no sample), and an initial bump that
-    fails :meth:`Field1D.validate` under ``base_params``.  The grid and
-    the initial field are built once here, as ``grid`` and ``initial``.
+    sampling interval (a bin with no sample), an initial bump that fails
+    :meth:`Field1D.validate` under ``base_params``, an empty factor range,
+    and factor ranges with a corner (each factor at one end of its range,
+    2^d sets) that gives invalid parameters.  The grid and the initial
+    field are built once here, as ``grid`` and ``initial``.
     """
 
     base_params: ModelParams
@@ -106,12 +109,16 @@ class SobolProblem:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "initial", initial)
         param_fields = set(type(self.base_params).__dataclass_fields__)
-        for name, (lo, hi) in zip(self.names, self.bounds):
+        ranges = dict(zip(self.names, self.bounds))
+        for name, (lo, hi) in ranges.items():
             if not lo < hi:
                 raise ValueError(f"empty range for factor {name}")
-            if name in param_fields:
-                # ranges must produce constructible parameter sets
-                self.base_params.replace(**{name: 0.5 * (lo + hi)})
+        # design points fill the closed box of the ranges, ends included; the
+        # valid parameter sets are convex (bounds and Q_m < Q_M), so the box
+        # is valid when each of its corners is
+        varied = [name for name in ranges if name in param_fields]
+        for corner in itertools.product(*(ranges[name] for name in varied)):
+            self.base_params.replace(**dict(zip(varied, corner)))
 
     @property
     def d(self) -> int:

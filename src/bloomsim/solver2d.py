@@ -7,7 +7,9 @@ sums, a node vector, are the lumped mass of the time stepping), the
 stiffness matrix K, and an advection matrix C(v) = integral (v . grad
 phi_j) phi_i = v_x Cx + v_y Cy.  Row i of the state moves by d_i K + a_i
 C(v), from the movement table of ``ModelParams``, through the shared
-:class:`~bloomsim.core.Transport`.
+:class:`~bloomsim.core.Transport`.  The matrices are assembled from the
+element arrays on demand; each mesh caches one build for the time
+stepping, the lumped mass and the ``Transport`` of the last movement table.
 Reactions are interpolated nodewise (group finite elements), which makes
 the internal uptake/recycling exchange between p and P cancel exactly and
 keeps the closed phosphorus budget conservative to solver tolerance; with
@@ -44,7 +46,6 @@ from .wind import as_wind
 
 __all__ = [
     "Field2D",
-    "FemOperators",
     "NewtonError",
     "assemble_fem",
     "newton_be_step",
@@ -124,26 +125,9 @@ class Field2D:
         _check_fields(self.B, self.p, self.P, params)
 
 
-@dataclass
-class FemOperators:
-    """Assembled P1 matrices for one mesh, and the lumped mass vector.
-
-    Time stepping uses ``m_lumped``, the row sums of M, as the diagonal
-    mass M_L = diag(m_lumped): on a Delaunay mesh the implicit diffusion
-    operator M_L + dt a K is then an M-matrix, so pure diffusion preserves
-    positivity, and nodewise reactions decouple from neighbour rates.  Row
-    sums match the consistent matrix, so all mass-weighted totals coincide
-    between the two.
-    """
-
-    M: csr_matrix       # consistent mass
-    K: csr_matrix       # stiffness (unscaled Laplacian)
-    Cx: csr_matrix      # advection in x for unit wind
-    Cy: csr_matrix      # advection in y
-    m_lumped: np.ndarray  # row sums of M, one per node
-
-
-def _assemble_operators(mesh: TriMesh) -> FemOperators:
+def _assemble(mesh: TriMesh) -> tuple[csr_matrix, ...]:
+    """The P1 matrices M (consistent mass), K (stiffness) and Cx, Cy
+    (advection for unit wind in x and in y) of ``mesh``."""
     n = mesh.n_nodes
     areas = mesh.areas[:, None]
     gx, gy = mesh.grad_x, mesh.grad_y
@@ -158,26 +142,23 @@ def _assemble_operators(mesh: TriMesh) -> FemOperators:
     K = build(areas * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]))
     # integral phi_i (grad phi_j) over the element: grad is constant,
     # integral of phi_i is area/3
-    Cx, Cy = build(areas / 3.0 * gx[:, j]), build(areas / 3.0 * gy[:, j])
-    return FemOperators(M, K, Cx, Cy, np.asarray(M.sum(axis=1)).ravel())
+    return M, K, build(areas / 3.0 * gx[:, j]), build(areas / 3.0 * gy[:, j])
 
 
-def _operators_for(mesh: TriMesh) -> FemOperators:
-    # cached on the mesh itself; meshes are immutable once built
-    ops = getattr(mesh, "_fem_operators", None)
-    if ops is None:
-        ops = _assemble_operators(mesh)
-        mesh._fem_operators = ops
-    return ops
-
-
-def _transport_for(mesh: TriMesh, params: ModelParams) -> Transport:
-    # cached on the mesh for the last movement table asked for
+def _lake_operators(mesh: TriMesh, params: ModelParams) -> tuple[np.ndarray, Transport]:
+    """The lumped mass m (row sums of M) and the :class:`Transport` of K and
+    (Cx, Cy), c(v) = (v_x, v_y), cached on the (immutable) mesh for the last
+    movement table asked for.  With M_L = diag(m) the implicit diffusion
+    operator M_L + dt a K is an M-matrix on a Delaunay mesh, so pure
+    diffusion preserves positivity, and nodewise reactions decouple from
+    neighbour rates; mass-weighted totals are those of the consistent M.
+    """
     table = (params.diffusivities, params.advection_scalars)
-    if getattr(mesh, "_transport", (None,))[0] != table:
-        ops = _operators_for(mesh)
-        mesh._transport = (table, Transport(ops.K, (ops.Cx, ops.Cy), tuple, *table))
-    return mesh._transport[1]
+    if getattr(mesh, "_lake_operators", (None,))[0] != table:
+        M, K, Cx, Cy = _assemble(mesh)
+        mesh._lake_operators = (table, np.asarray(M.sum(axis=1)).ravel(),
+                                Transport(K, (Cx, Cy), tuple, *table))
+    return mesh._lake_operators[1:]
 
 
 def assemble_fem(mesh: TriMesh, v):
@@ -185,11 +166,12 @@ def assemble_fem(mesh: TriMesh, v):
 
     Returns ``(M, K, C)`` with M symmetric positive definite, K symmetric
     positive semidefinite with zero row sums, and C = C(v) linear in the
-    wind.  Row i of the model moves by ``d_i K + a_i C``, with the movement
-    table of ``ModelParams``; :class:`~bloomsim.core.Transport` applies it.
+    wind, assembled on each call.  Row i of the model moves by
+    ``d_i K + a_i C``, with the movement table of ``ModelParams``;
+    :class:`~bloomsim.core.Transport` applies it.
     """
-    ops = _operators_for(mesh)
-    return ops.M, ops.K, float(v[0]) * ops.Cx + float(v[1]) * ops.Cy
+    M, K, Cx, Cy = _assemble(mesh)
+    return M, K, float(v[0]) * Cx + float(v[1]) * Cy
 
 
 #: Keys of the work counters that each step adds to.
@@ -214,8 +196,9 @@ def newton_be_step(
     :data:`_COUNTERS`, gets the step's work added.
 
     Solves ``M_L (U - U_n) + dt (T U - M_L R(U)) = 0`` by inexact Newton,
-    with ``M_L = diag(m)`` for the lumped mass vector ``m`` of
-    :class:`FemOperators` and ``T = blockdiag(d_i K + a_i C(v))``.  Each
+    with ``M_L = diag(m)`` for the lumped mass vector ``m`` and
+    ``T = blockdiag(d_i K + a_i C(v))``, both from the mesh's cached build
+    for the movement table of ``params``.  Each
     iteration evaluates the reaction terms and their exact Jacobian R' once
     and solves ``J delta = -F`` by restarted GMRES (Saad & Schultz 1986;
     Knoll & Keyes, J. Comput. Phys. 193, 2004).
@@ -233,8 +216,8 @@ def newton_be_step(
         raise ValueError("dt must be positive")
     if counters is None:
         counters = dict.fromkeys(_COUNTERS, 0)
-    T = _transport_for(mesh, params).matrix(as_wind(wind)(t_next))
-    m = _operators_for(mesh).m_lumped
+    m, transport = _lake_operators(mesh, params)
+    T = transport.matrix(as_wind(wind)(t_next))
     n = m.size
     U_old = np.array(y_n, dtype=float).reshape(3, n)
 

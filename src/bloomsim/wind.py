@@ -210,8 +210,9 @@ class SyntheticWind:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (0 < self.period < math.inf and np.isfinite([self.amplitude, self.phase]).all()):
+            raise ValueError(f"need a finite positive period and a finite amplitude and phase, "
+                             f"got {self.amplitude!r}, {self.period!r}, {self.phase!r}")
 
     def at(self, t) -> tuple:
         angle = 2.0 * math.pi * np.asarray(t, dtype=float) / self.period + self.phase

@@ -438,6 +438,15 @@ class TestMain:
         ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "initial": {"Q0": 0.5}}}, "sim1d"),
         ("sim2d", {"sim2d": {"t_end": 1.0, "initial": {"kind": "uniform", "B": -1}}}, "sim2d"),
         ("sim2d", {"sim2d": {"t_end": 1.0, "initial": {"Q0": 0.001}}}, "sim2d"),
+        ("ode", {"params": 5, "ode": {"t_end": 10.0}}, "params"),
+        ("ode", {"ode": 5}, "ode"),
+        ("sim2d", {"sim2d": ["dt"]}, "sim2d"),
+        *[("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0,
+                               "wind": {"mode": "synthetic", key: value}}}, "sim1d")
+          for key, value in (("amplitude", float("nan")), ("period", float("nan")),
+                             ("phase", float("inf")))],
+        ("sobol", {"sobol": {"N": 1, "Nx": 11}}, "sobol"),
+        ("sobol", {"sobol": {"N": 2, "Nx": 11, "ranges": {"z_m": [-4, 10]}}}, "sobol"),
     ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial",
             "ode-t_end-sign", "ode-rtol", "ode-atol", "ode-initial-quota", "sim1d-t_end-sign",
             "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times", "ode-samples-zero",
@@ -447,7 +456,9 @@ class TestMain:
             "sobol-initial-quota", "sobol-initial-B_peak", "sobol-initial-B_base",
             "sobol-initial-P0", "stability-n_max-zero", "stability-wind_speed-nan",
             "stability-wind_speed-overflow", "sim1d-initial-B", "sim1d-initial-quota",
-            "sim2d-initial-B", "sim2d-initial-quota"])
+            "sim2d-initial-B", "sim2d-initial-quota", "params-not-object", "ode-not-object",
+            "sim2d-not-object", "wind-amplitude-nan", "wind-period-nan", "wind-phase-inf",
+            "sobol-N-one", "sobol-range-endpoint"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
         path = write_config(tmp_path, {"params": CASE3, **body})
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bloomsim.sensitivity
-from bloomsim.core import default_params
+from bloomsim.core import DomainError, default_params
 from bloomsim.sensitivity import (
     SensitivityReport,
     SobolProblem,
@@ -190,20 +190,47 @@ class TestPipeline:
         parallel = run_sensitivity(problem, N=4, seed=7, n_jobs=2)
         assert np.array_equal(serial.S1_mean, parallel.S1_mean)
 
-    def test_widespread_row_failures_abort_with_report(self):
-        # a range of invalid parameter values makes most rows unbuildable,
-        # tripping the 1% failure budget
-        # midpoint is a valid parameter set, but a third of the sampled
-        # K_bg values are negative and fail inside the workers
-        problem = SobolProblem(
-            base_params=default_params(r=1.0, P_h=2.0),
-            names=("z_m", "K_bg", "D", "P_in", "beta_B"),
-            bounds=((2.0, 10.0), (-0.2, 0.4), (0.01, 0.1), (0.0, 0.3), (0.01, 0.1)),
-            Nx=11,
-            sample_every=20.0,
-        )
-        with pytest.raises(RuntimeError, match="failed"):
+    def test_widespread_row_failures_abort_with_report(self, monkeypatch):
+        # failures in a third of the rows trip the 1% failure budget
+        calls = []
+
+        def every_third_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
+            calls.append(1)
+            if len(calls) % 3 == 0:
+                raise RuntimeError("injected failure")
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", every_third_fails)
+        problem = default_problem(Nx=11, sample_every=20.0)
+        with pytest.raises(RuntimeError, match="failed, aborting: .*injected failure"):
             run_sensitivity(problem, N=4, seed=1, n_jobs=1)
+
+    @pytest.mark.parametrize("names, bounds, message", [
+        (("z_m",), ((-4.0, 10.0),), "parameter z_m must be positive"),
+        (("z_m", "K_bg"), ((2.0, 10.0), (-0.2, 0.4)), "parameter K_bg must be positive"),
+        (("P_in",), ((-0.1, 0.3),), "parameter P_in must be nonnegative"),
+        # scrambled Sobol' points can land exactly on the lower end
+        (("z_m",), ((0.0, 10.0),), "parameter z_m must be positive"),
+        (("Q_m",), ((0.001, 0.05),), "Q_m must be < Q_M"),
+        # each end is valid against the other's base value (0.004 and
+        # 0.04), but the corner Q_m = 0.03, Q_M = 0.02 is not
+        (("Q_m", "Q_M"), ((0.002, 0.03), (0.02, 0.08)), "Q_m must be < Q_M"),
+    ], ids=["z_m-negative-end", "K_bg-negative-end", "P_in-negative-end", "z_m-zero-end",
+            "Q_m-above-base-Q_M", "quota-limit-corner"])
+    def test_invalid_range_end_rejected(self, names, bounds, message):
+        # the midpoint of each of these ranges is a valid parameter set
+        with pytest.raises(DomainError, match=message):
+            SobolProblem(base_params=default_params(r=1.0, P_h=2.0), names=names,
+                         bounds=bounds, Nx=11, sample_every=20.0)
+
+    def test_valid_corners_accepted(self):
+        # every design point has Q_m < Q_M, although the Q_M range lies
+        # below the base Q_m = 0.004
+        problem = SobolProblem(base_params=default_params(r=1.0, P_h=2.0),
+                               names=("Q_m", "Q_M", "P_in"),
+                               bounds=((0.001, 0.002), (0.0025, 0.003), (0.0, 0.3)),
+                               Nx=11, sample_every=20.0)
+        assert problem.d == 3
 
     def test_row_failure_is_recorded(self, monkeypatch):
         # one failed row of 16 * 7 stays under the 1% abort: it drops its

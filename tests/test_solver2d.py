@@ -87,7 +87,7 @@ class TestAssemble:
         _, K, C = assemble_fem(lake, v)
         table = zip(params_case3.diffusivities, params_case3.advection_scalars)
         per_row = block_diag([d * K + a * C for d, a in table]).toarray()
-        transport = solver2d._transport_for(lake, params_case3)
+        _, transport = solver2d._lake_operators(lake, params_case3)
         assert np.array_equal(transport.matrix(v).toarray(), per_row)
         y = rng.uniform(0.0, 2.0, 3 * lake.n_nodes)
         moved = per_row @ y
@@ -544,3 +544,43 @@ class TestRefinementConsistency:
         kw = dict(P0=0.2, center=(0.0, 0.0), width=150.0)
         U = Field2D.bump(fine, **kw)
         assert np.allclose(U.B[: mesh.n_nodes], Field2D.bump(mesh, **kw).B)
+
+    def test_observed_spatial_order(self):
+        # successive differences of the final B at the interior nodes of the
+        # 114-node lake, refined 0-3 times (h halves each time), in still
+        # water: second order for P1 diffusion.  The time step is the same
+        # on every mesh, so its error largely cancels from the differences.
+        # Boundary nodes are left out: the bump's normal gradient at the
+        # zero-flux wall relaxes in a layer sqrt(alpha t) ~ 0.3 m thick, far
+        # below h = 10-80 m, which no mesh here resolves; their differences
+        # grew as 1/h (1.9e-4, 3.8e-4, 7.5e-4) where the interior ones fell
+        # as h^2 (4.2e-6, 1.1e-6, 2.7e-7)
+        params = default_params(r=1.0, P_h=2.0)
+        mesh = synthetic_lake_mesh()
+        interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_edges)
+        finals = []
+        for _ in range(4):
+            initial = Field2D.bump(mesh, P0=2.0, center=(0.0, 0.0), width=250.0)
+            traj = simulate_2d(initial, mesh, None, params, 0.5, 10.0, [10.0])
+            finals.append(traj.B[interior, -1])
+            mesh = refine_uniform(mesh)
+        differences = [np.abs(fine - coarse).max() for coarse, fine in zip(finals, finals[1:])]
+        assert 1.8 <= np.log2(differences[-2] / differences[-1]) <= 2.2
+
+
+def test_cached_operators_follow_the_movement_table(params_case3):
+    # one mesh runs A, then B (its own diffusivity and advection scalar),
+    # then A again; each run equals the same run on a freshly built mesh
+    wind = SyntheticWind(20.0, 9.0)
+    other = params_case3.replace(alpha=0.05, beta_B=0.2)
+
+    def run(mesh, params):
+        initial = Field2D.bump(mesh, P0=0.2, center=(0.0, 0.0), width=150.0)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "cell Peclet", RuntimeWarning)
+            return simulate_2d(initial, mesh, wind, params, 0.5, 1.0, [0.5, 1.0]).y
+
+    shared = synthetic_lake_mesh(target_h=160.0)
+    for params in (params_case3, other, params_case3):
+        assert np.array_equal(run(shared, params),
+                              run(synthetic_lake_mesh(target_h=160.0), params))

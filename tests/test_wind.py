@@ -234,6 +234,15 @@ class TestSyntheticWind:
         with pytest.raises(ValueError):
             SyntheticWind(1.0, 0.0)
 
+    @pytest.mark.parametrize("args", [
+        (float("nan"), 10.0, 0.0), (1.0, float("nan"), 0.0), (1.0, float("inf"), 0.0),
+        (float("-inf"), 10.0, 0.0), (1.0, 10.0, float("nan")),
+    ], ids=["amplitude-nan", "period-nan", "period-inf", "amplitude-inf", "phase-nan"])
+    def test_rejects_non_finite_values(self, args):
+        # NaN <= 0 is false, so a NaN period passed the positivity check
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticWind(*args)
+
 
 class TestAsWind:
     def test_none_is_still_water(self):
