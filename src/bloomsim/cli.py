@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__
 from ._textio import export_csv
-from .core import HomState, ModelParams, b_bar, default_params, q_hat, r0
+from .core import DomainError, HomState, ModelParams, b_bar, default_params, q_hat, r0
 from .mesh import load_gmsh_mesh, synthetic_lake_mesh, write_msh22
 from .ode import extinction_state, find_equilibrium, integrate_homogeneous
 from .sensitivity import (
@@ -165,6 +165,8 @@ def _wind_from(section: dict | None, base_dir: Path):
             float(section.get("phase", 0.0)),
         )
     if mode == "csv":
+        if "csv" not in section:
+            raise ValueError("wind mode 'csv' needs a 'csv' key naming the wind file")
         path = base_dir / section["csv"]
         if not path.exists():
             raise ConfigError(f"wind file not found: {path}")
@@ -260,14 +262,17 @@ def _run_stability(config, params, out_dir, seed, threads, base_dir):
         if n_max < 1 or not np.isfinite(n_max * max(params.advection_scalars) * wind_speed):
             raise ValueError(f"need n_max >= 1 and a finite wind_speed up to mode n_max, "
                              f"got n_max={n_max}, wind_speed={wind_speed!r}")
-    if which == "extinction":
-        eq = extinction_state(params)
-    elif which == "positive":
-        eq, kind = find_equilibrium(params)
-        if kind != "positive":
-            raise ConfigError("no positive equilibrium exists for these parameters (R0 <= 1)")
-    else:
-        raise ConfigError(f"unknown equilibrium {which!r}")
+    try:
+        if which == "extinction":
+            eq = extinction_state(params)
+        elif which == "positive":
+            eq, kind = find_equilibrium(params)
+            if kind != "positive":
+                raise ConfigError("no positive equilibrium exists for these parameters (R0 <= 1)")
+        else:
+            raise ConfigError(f"unknown equilibrium {which!r}")
+    except DomainError as exc:  # no equilibrium at all (D = 0 with P_in > 0)
+        raise ConfigError(f"bad stability section: {exc}") from exc
     spectra, verdict = mode_sweep(eq, n_max, wind_speed, params)
     spectrum_path = out_dir / "spectrum.csv"
     write_spectrum_csv(spectra, spectrum_path)

@@ -11,6 +11,11 @@ its exact spectrum, forms the first-order perturbation approximation of the
 spectrum, and sweeps modes to produce a stability verdict plus plot-ready
 tables.
 
+Every mode comes from one (modes, 3, 3) stack, which :func:`assemble_jacobian`
+builds after one equilibrium check and :func:`eigen_3x3` decomposes in one
+call: a sweep calls ``eig`` once for A and once for J(modes), and forms every
+first-order correction in one batched solve.
+
 First-order correction
 ----------------------
 Writing J = A + Delta, the first-order eigenvalue correction implemented here
@@ -69,20 +74,23 @@ class ModeSpectrum:
         return float(self.exact_eigenvalues[0].real)
 
 
-def _sort_key(values: np.ndarray) -> np.ndarray:
-    # descending real part, ties broken by descending imaginary part
-    return np.lexsort((-values.imag, -values.real))
+def _descending(values: np.ndarray) -> np.ndarray:
+    # per-row order: descending real part, ties by descending imaginary part
+    return np.lexsort((-values.imag, -values.real), axis=-1)
 
 
-def _delta_diag(n: int, v: float, params: ModelParams) -> np.ndarray:
-    # the movement terms of the (B, p, P) rows, from the parameters' table
-    return np.array([-(n**2) * d - 1j * n * a * v
-                     for d, a in zip(params.diffusivities, params.advection_scalars)])
+def _delta(n, v: float, params: ModelParams) -> np.ndarray:
+    # the movement terms of the (B, p, P) rows at modes n, shape (..., 3);
+    # float modes square like Python ints, where int64 would wrap past 3e9,
+    # and 0.0 - n^2 keeps mode 0 at +0.0, as the integer -(0^2) gave it
+    n = np.asarray(n, dtype=float)[..., None]
+    return ((0.0 - n**2) * np.array(params.diffusivities)
+            - 1j * n * np.array(params.advection_scalars) * v)
 
 
 def assemble_jacobian(
     eq: HomState,
-    n: int,
+    n: int | np.ndarray,
     v: float,
     params: ModelParams,
 ) -> np.ndarray:
@@ -91,16 +99,18 @@ def assemble_jacobian(
     The reaction block is :func:`reaction_jacobian` (at the extinction
     state its growth entry is (l + D/z_m)(R0 - 1)); the movement terms
     ``-n^2 diag(alpha, alpha, beta) - i n v diag(beta_B, beta_B, beta_P)``
-    are folded into the diagonal.
+    are folded into the diagonal.  An array of modes gives the stack of
+    their Jacobians, shape ``(*n.shape, 3, 3)``; the equilibrium is checked
+    once.
 
     Raises
     ------
     ValueError
         If ``eq`` is not an equilibrium within
-        :data:`EQUILIBRIUM_RESIDUAL_TOL` (relative to the state scale), or n
-        is negative.
+        :data:`EQUILIBRIUM_RESIDUAL_TOL` (relative to the state scale), or a
+        mode number is negative.
     """
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise ValueError("mode number n must be >= 0")
     residual = np.linalg.norm(reaction_rhs(eq, params))
     scale = max(1.0, float(np.linalg.norm(eq.as_array(), np.inf)))
@@ -109,11 +119,13 @@ def assemble_jacobian(
             f"state is not an equilibrium: |rhs| = {residual:.3e} "
             f"> {EQUILIBRIUM_RESIDUAL_TOL:.1e} * {scale:g}"
         )
-    A = reaction_jacobian(eq.B, eq.p, eq.P, params)
-    return A.astype(complex) + np.diag(_delta_diag(n, v, params))
+    delta = _delta(n, v, params)
+    J = np.zeros((*delta.shape, 3), dtype=complex)
+    J[..., range(3), range(3)] = delta
+    return J + reaction_jacobian(eq.B, eq.p, eq.P, params)
 
 
-def eigen_3x3(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def eigen_3x3(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool | np.ndarray]:
     """Eigenpairs of a 3x3 complex matrix, sorted by descending real part.
 
     Returns (eigenvalues, eigenvectors, defective_warning).  Eigenvectors are
@@ -123,61 +135,48 @@ def eigen_3x3(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     nearly defective, and the first-order perturbation formula, which
     solves with that matrix, may be inaccurate.  A repeated eigenvalue with
     independent eigenvectors does not set it.
+
+    A stack of shape ``(..., 3, 3)`` gives stacked eigenpairs and one flag
+    per matrix (a plain ``bool`` for a single matrix); a call warns at most
+    once, whatever the number of flagged matrices.
     """
     J = np.asarray(matrix, dtype=complex)
-    if J.shape != (3, 3) or not np.all(np.isfinite(J.view(float))):
-        raise ValueError("expected a finite 3x3 matrix")
+    if J.shape[-2:] != (3, 3) or not np.all(np.isfinite(J)):
+        raise ValueError("expected a finite 3x3 matrix or a stack of them")
     values, vectors = np.linalg.eig(J)
-    order = _sort_key(values)
-    values = values[order]
-    vectors = vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    order = _descending(values)
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
 
-    norm_J = np.linalg.norm(J)
-    for i in range(3):
-        res = np.linalg.norm(J @ vectors[:, i] - values[i] * vectors[:, i])
-        if res > 1e-10 * max(norm_J, 1e-300):
-            raise ValueError(f"eigenpair residual {res:.3e} exceeds tolerance")
+    residual = np.linalg.norm(J @ vectors - values[..., None, :] * vectors, axis=-2)
+    bound = 1e-10 * np.maximum(np.linalg.norm(J, axis=(-2, -1)), 1e-300)
+    if np.any(residual > bound[..., None]):
+        raise ValueError(f"eigenpair residual {residual.max():.3e} exceeds tolerance")
 
-    defective = bool(np.linalg.cond(vectors) > 1e8)
-    if defective:
+    defective = np.linalg.cond(vectors) > 1e8
+    if np.any(defective):
         warnings.warn(
             "near-defective matrix: first-order perturbation may be inaccurate",
             RuntimeWarning,
             stacklevel=2,
         )
-    return values, vectors, defective
+    return values, vectors, defective if defective.ndim else bool(defective)
 
 
-def _mode_spectrum(
-    A: np.ndarray,
-    lam: np.ndarray,
-    V: np.ndarray,
-    defective_A: bool,
-    n: int,
-    v: float,
-    params: ModelParams,
-) -> ModeSpectrum:
-    # the mode-n spectra from J(0) = A and its eigenpairs (lam, V), which a
-    # sweep computes once for all its modes
-    delta = _delta_diag(n, v, params)
-    # diag(V^-1 Delta V): proper first-order correction for simple eigenvalues
-    correction = np.diag(np.linalg.solve(V, delta[:, None] * V))
-    approx = lam + correction
-
-    exact, vectors, defective_J = eigen_3x3(A + np.diag(delta))
-
+def _spectra(eq: HomState, modes: np.ndarray, v: float, params: ModelParams) -> list[ModeSpectrum]:
+    # J(0) = A and J(modes) from one assembly; the eigenpairs (lam, V) of A
+    # give every mode's first-order correction diag(V^-1 Delta V) at once
+    J = assemble_jacobian(eq, np.concatenate(([0], modes)), v, params)
+    lam, V, defective_A = eigen_3x3(J[0])
+    exact, vectors, defective_J = eigen_3x3(J[1:])
+    delta = _delta(modes, v, params)
+    approx = lam + np.diagonal(np.linalg.solve(V, delta[..., None] * V), axis1=-2, axis2=-1)
     # keep branch pairing: both lists are real-part sorted at n = 0 and the
     # approximation inherits A's order, so re-sort it with the same key
-    order = _sort_key(approx)
-    approx = approx[order]
-    return ModeSpectrum(
-        n=n,
-        exact_eigenvalues=exact,
-        approx_eigenvalues=approx,
-        eigenvectors=vectors,
-        defective_warning=defective_A or defective_J,
-    )
+    approx = np.take_along_axis(approx, _descending(approx), axis=-1)
+    return [ModeSpectrum(n, *fields, defective_A or bool(flag))
+            for n, *fields, flag in zip(modes.tolist(), exact, approx, vectors, defective_J)]
 
 
 def perturbed_spectrum(
@@ -189,10 +188,7 @@ def perturbed_spectrum(
     each eigenvalue of A the matching diagonal entry of ``V^-1 Delta V`` (see
     the module docstring).  At n = 0 the two coincide since Delta vanishes.
     """
-    if n < 0:
-        raise ValueError("mode number n must be >= 0")
-    A = assemble_jacobian(eq, 0, v, params)
-    return _mode_spectrum(A, *eigen_3x3(A), n, v, params)
+    return _spectra(eq, np.array([n]), v, params)[0]
 
 
 def mode_sweep(
@@ -204,14 +200,12 @@ def mode_sweep(
     """Spectra for modes n = 0 .. n_max and an overall stability verdict.
 
     The verdict is ``"stable"`` exactly when every exact eigenvalue over the
-    swept modes has negative real part.  The equilibrium check and the
-    eigenpairs of A are computed once and shared by all modes.
+    swept modes has negative real part.  All modes come from one stack: one
+    equilibrium check, one eigendecomposition of A and one of J(0 .. n_max).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    A = assemble_jacobian(eq, 0, v, params)
-    base = eigen_3x3(A)
-    spectra = [_mode_spectrum(A, *base, n, v, params) for n in range(n_max + 1)]
+    spectra = _spectra(eq, np.arange(n_max + 1), v, params)
     worst = max(s.leading_real for s in spectra)
     return spectra, ("stable" if worst < 0.0 else "unstable")
 

@@ -447,6 +447,10 @@ class TestMain:
                              ("phase", float("inf")))],
         ("sobol", {"sobol": {"N": 1, "Nx": 11}}, "sobol"),
         ("sobol", {"sobol": {"N": 2, "Nx": 11, "ranges": {"z_m": [-4, 10]}}}, "sobol"),
+        *[("stability", {"params": {**CASE3, "D": 0.0, "P_in": 0.1},
+                         "stability": {"equilibrium": which}}, "stability")
+          for which in ("extinction", "positive")],
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "wind": {"mode": "csv"}}}, "sim1d"),
     ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial",
             "ode-t_end-sign", "ode-rtol", "ode-atol", "ode-initial-quota", "sim1d-t_end-sign",
             "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times", "ode-samples-zero",
@@ -458,7 +462,8 @@ class TestMain:
             "stability-wind_speed-overflow", "sim1d-initial-B", "sim1d-initial-quota",
             "sim2d-initial-B", "sim2d-initial-quota", "params-not-object", "ode-not-object",
             "sim2d-not-object", "wind-amplitude-nan", "wind-period-nan", "wind-phase-inf",
-            "sobol-N-one", "sobol-range-endpoint"])
+            "sobol-N-one", "sobol-range-endpoint", "stability-no-equilibrium-extinction",
+            "stability-no-equilibrium-positive", "wind-csv-missing"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
         path = write_config(tmp_path, {"params": CASE3, **body})
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),

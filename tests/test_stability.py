@@ -11,9 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ode import _zero_or, model_params
 
-from bloomsim.core import HomState, r0, reaction_jacobian
-from bloomsim.ode import find_equilibrium
+from bloomsim.core import DomainError, HomState, default_params, r0, reaction_jacobian
+from bloomsim.ode import extinction_state, find_equilibrium
 from bloomsim.stability import (
     ModeSpectrum,
     assemble_jacobian,
@@ -65,7 +68,8 @@ class TestAssembleJacobian:
             A = reaction_jacobian(B, Q * B, P, params_case3)
             assert A[2, 0] == -A[1, 0]
 
-    @pytest.mark.parametrize("n,v", [(1, 0.0), (3, 1.0), (10, 2.5)])
+    # n = 5e9: n^2 is past the int64 range, so the modes must square as floats
+    @pytest.mark.parametrize("n,v", [(1, 0.0), (3, 1.0), (10, 2.5), (5_000_000_000, 1.0)])
     def test_mode_terms_fold_into_diagonal(self, params_case3, eq_positive_case3, n, v):
         p = params_case3
         J0 = assemble_jacobian(eq_positive_case3, 0, v, p)
@@ -82,6 +86,15 @@ class TestAssembleJacobian:
     def test_rejects_non_equilibrium(self, params_case3):
         with pytest.raises(ValueError, match="not an equilibrium"):
             assemble_jacobian(HomState(3.0, 0.06, 0.5), 1, 1.0, params_case3)
+
+    def test_mode_stack_matches_single_modes(self, params_case3, eq_positive_case3):
+        stack = assemble_jacobian(eq_positive_case3, np.arange(12), 2.5, params_case3)
+        assert stack.shape == (12, 3, 3)
+        for n in range(12):
+            assert np.array_equal(stack[n],
+                                  assemble_jacobian(eq_positive_case3, n, 2.5, params_case3))
+        with pytest.raises(ValueError, match="mode number"):
+            assemble_jacobian(eq_positive_case3, np.array([0, -1]), 2.5, params_case3)
 
 
 class TestEigen3x3:
@@ -142,6 +155,26 @@ class TestEigen3x3:
         J = np.full((3, 3), np.nan)
         with pytest.raises(ValueError):
             eigen_3x3(J)
+
+    def test_stack_matches_single_calls(self, rng):
+        # the diagonal, random, defective and semisimple cases above
+        matrices = [
+            np.diag([1.0, 2.0, 3.0]),
+            rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+            np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+            np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+        ]
+        with pytest.warns(RuntimeWarning, match="near-defective") as record:
+            values, vectors, flags = eigen_3x3(np.stack(matrices))
+        assert len(record) == 1  # one warning per call, not per flagged matrix
+        assert flags.tolist() == [False, False, True, False]
+        for k, J in enumerate(matrices):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                single_values, single_vectors, single_flag = eigen_3x3(J)
+            assert np.array_equal(values[k], single_values)
+            assert np.array_equal(vectors[k], single_vectors)
+            assert type(single_flag) is bool and flags[k] == single_flag
 
 
 class TestPerturbedSpectrum:
@@ -273,6 +306,35 @@ class TestModeSweep:
             assert np.array_equal(single.exact_eigenvalues, exact)
             assert np.array_equal(single.approx_eigenvalues, approx)
 
+    def test_one_sweep_calls_eig_twice(self, params_case3, eq_positive_case3, monkeypatch):
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        for n_max in (1, 30):
+            shapes.clear()
+            mode_sweep(eq_positive_case3, n_max, 1.0, params_case3)
+            # A once, then the stack of J(0 .. n_max)
+            assert shapes == [(3, 3), (n_max + 1, 3, 3)]
+        shapes.clear()
+        perturbed_spectrum(eq_positive_case3, 7, 1.0, params_case3)
+        assert shapes == [(3, 3), (1, 3, 3)]
+
+    def test_sweep_spectra_are_the_assembled_modes(self):
+        # without movement or exchange, the extinction state's P row has
+        # -0.0 on the diagonal; each swept J(n) must still be the one
+        # assemble_jacobian gives, bit for bit, signed zeros included
+        p = default_params(r=1.0, P_h=0.2, D=0.0, P_in=0.0,
+                           alpha=0.0, beta=0.0, beta_B=0.0, beta_P=0.0)
+        eq = extinction_state(p)
+        # mode 0 adds +0.0 to the reaction Jacobian, so its -0.0 turns +0.0
+        A = reaction_jacobian(eq.B, eq.p, eq.P, p)
+        assert assemble_jacobian(eq, 0, 1.0, p).tobytes() == (A + 0.0).astype(complex).tobytes()
+        spectra, _ = mode_sweep(eq, 5, 1.0, p)
+        for s in spectra:
+            values, vectors, _ = eigen_3x3(assemble_jacobian(eq, s.n, 1.0, p))
+            assert values.tobytes() == s.exact_eigenvalues.tobytes()
+            assert vectors.tobytes() == s.eigenvectors.tobytes()
+
     def test_rejects_bad_n_max(self, params_case1):
         with pytest.raises(ValueError):
             mode_sweep(HomState(0.0, 0.0, 0.0), 0, 1.0, params_case1)
@@ -310,3 +372,54 @@ class TestModeSweep:
                     writer.writerow([spectrum.n, i, f"{ex.real:.17g}", f"{ex.imag:.17g}",
                                      f"{ap.real:.17g}", f"{ap.imag:.17g}"])
         assert out.read_bytes() == expected.read_bytes()
+
+
+@st.composite
+def moving_params(draw):
+    """:func:`test_ode.model_params` with every movement coefficient zero or
+    positive."""
+    return draw(model_params()).replace(
+        alpha=draw(_zero_or(1e-4, 1.0)),
+        beta=draw(_zero_or(1e-4, 1.0)),
+        beta_B=draw(_zero_or(1e-3, 2.0)),
+        beta_P=draw(_zero_or(1e-3, 2.0)),
+    )
+
+
+class TestSweepOverTheDomain:
+    @settings(max_examples=60, deadline=None)
+    @given(params=moving_params(), v=st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+           n_max=st.integers(1, 40))
+    def test_sweep_matches_per_mode_oracle(self, params, v, n_max):
+        if params.D == 0.0 and params.P_in > 0.0:
+            # the source has no outlet: no equilibrium to linearize around
+            with pytest.raises(DomainError):
+                find_equilibrium(params)
+            return
+        eq, _ = find_equilibrium(params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                spectra, verdict = mode_sweep(eq, n_max, v, params)
+            except ValueError:
+                return
+        assert all("near-defective" in str(w.message) for w in caught)
+        assert bool(caught) == any(s.defective_warning for s in spectra)
+
+        # oracle: one mode at a time, with the documented sort (descending
+        # real part, then imaginary part) and unit-norm columns
+        A = reaction_jacobian(eq.B, eq.p, eq.P, params)
+        assert [s.n for s in spectra] == list(range(n_max + 1))
+        for s in spectra:
+            n = s.n
+            delta = np.array([-(n**2) * d - 1j * n * a * v for d, a in
+                              zip(params.diffusivities, params.advection_scalars)])
+            values, vectors = np.linalg.eig(A + np.diag(delta))
+            order = np.lexsort((-values.imag, -values.real))
+            vectors = vectors[:, order]
+            assert np.array_equal(s.exact_eigenvalues, values[order])
+            assert np.array_equal(s.eigenvectors,
+                                  vectors / np.linalg.norm(vectors, axis=0, keepdims=True))
+        assert np.array_equal(spectra[0].approx_eigenvalues, spectra[0].exact_eigenvalues)
+        worst = max(s.exact_eigenvalues.real.max() for s in spectra)
+        assert (verdict == "stable") == (worst < 0.0)
