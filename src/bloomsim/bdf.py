@@ -15,10 +15,17 @@ operations in the same order, so every sample and the ``nfev``, ``njev`` and
 ``solve_ivp(fun, (0, t_end), y0, method="BDF", jac=jac, t_eval=t_eval,
 args=args)`` bit for bit.  What it leaves out is the generic machinery
 around the step: a dense iteration matrix goes straight to LAPACK's
-``dgetrf``/``dgetrs``, and a sparse one is written into the data of the
-Jacobian's own CSC pattern and factored by SuperLU.  Whether the Jacobian
-is sparse (``scipy.sparse.issparse`` on its first evaluation) picks the
-route.
+``dgetrf``/``dgetrs``, and any other Jacobian is an object that factors
+and solves its own I - c J (``factor(c)`` and ``solve(LU, b)``).
+
+The step is written once, as generators: every evaluation of ``fun`` or
+``jac`` is a yielded request, and a whole solve is one generator that
+returns ``(t, samples, counters)``.  :func:`solve` serves each request as
+it comes.  :func:`solve_ensemble` advances K independent systems
+together: each keeps its own step size, order, Newton iteration,
+Jacobian and LU factors, so its samples and counters are those of its own
+:func:`solve`, but all the ``fun`` requests of one round go into one
+batched call.
 """
 
 from __future__ import annotations
@@ -27,10 +34,8 @@ import warnings
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import csc_matrix, issparse
-from scipy.sparse.linalg import splu
 
-__all__ = ["IntegrationError", "solve"]
+__all__ = ["IntegrationError", "solve", "solve_ensemble"]
 
 MAX_ORDER = 5
 NEWTON_MAXITER = 4
@@ -83,7 +88,11 @@ def _change_D(D: np.ndarray, order, factor) -> None:
     D[:order + 1] = np.dot(RU.T, D[:order + 1])
 
 
-def _initial_step(fun, args, t0, y0, t_bound, f0, rtol, atol):
+# the two kinds of request a solve yields, each as (kind, t, y)
+_FUN, _JAC = "fun", "jac"
+
+
+def _initial_step(t0, y0, t_bound, f0, rtol, atol):
     # Hairer, Norsett & Wanner, "Solving ODEs I", Sec. II.4, for an error
     # of order 2 (the first step is of order 1)
     interval_length = abs(t_bound - t0)
@@ -95,7 +104,7 @@ def _initial_step(fun, args, t0, y0, t_bound, f0, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0, *args)
+    f1 = yield _FUN, t0 + h0, y0 + h0 * f0
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -125,42 +134,12 @@ class _Dense:
         return dgetrs(*factors, b, overwrite_b=True)[0]
 
 
-class _Sparse:
-    """I - c J of a sparse J on J's own CSC pattern, factored by SuperLU.
-
-    The diagonal is -(c J_ii) + 1, bitwise 1 - c J_ii.  The explicit zeros
-    are dropped, so SuperLU's column ordering sees the pattern of SciPy's
-    pruned ``I - c*J``.  J must be in canonical CSC form (sorted indices,
-    no duplicates) with its whole diagonal stored.
-    """
-
-    def __init__(self, J):
-        columns = np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))
-        self.diagonal = np.flatnonzero(J.indices == columns)
-        if J.format != "csc" or self.diagonal.size != J.shape[0]:
-            raise ValueError("a sparse Jacobian must be CSC with its whole diagonal stored")
-        self.J = J
-
-    def factor(self, c):
-        J = self.J
-        data = -(c * J.data)
-        data[self.diagonal] += 1.0
-        if not np.isfinite(data).all():
-            raise RuntimeError("the iteration matrix is not finite")
-        A = csc_matrix((data, J.indices.copy(), J.indptr.copy()), shape=J.shape)
-        A.eliminate_zeros()
-        return splu(A)
-
-    @staticmethod
-    def solve(lu, b: np.ndarray) -> np.ndarray:
-        return lu.solve(b)
-
-
 def _iteration(J):
-    return _Sparse(J) if issparse(J) else _Dense(J)
+    # a dense Jacobian, or an object that factors and solves I - c J itself
+    return _Dense(J) if isinstance(J, np.ndarray) else J
 
 
-def _newton(fun, args, t_new, y_predict, c, psi, system, LU, scale, tol):
+def _newton(t_new, y_predict, c, psi, system, LU, scale, tol):
     """Simplified Newton iteration on the BDF formula; returns (converged,
     iterations, y, d), d the correction from ``y_predict``."""
     d = 0
@@ -168,7 +147,7 @@ def _newton(fun, args, t_new, y_predict, c, psi, system, LU, scale, tol):
     dy_norm_old = None
     converged = False
     for k in range(NEWTON_MAXITER):
-        f = fun(t_new, y, *args)
+        f = yield _FUN, t_new, y
         if not np.isfinite(f).all():
             break
 
@@ -201,16 +180,19 @@ class _Stepper:
     """The integrator's state between steps: time, state, differences,
     order, step size, Jacobian, LU factors and counters."""
 
-    def __init__(self, fun, jac, args, y0: np.ndarray, t_bound: float, rtol: float,
-                 atol: float):
-        self.fun, self.jac, self.args = fun, jac, args
+    def __init__(self, y0: np.ndarray, t_bound: float, rtol: float, atol: float):
         self.t, self.y, self.t_bound = 0.0, y0, t_bound
         self.rtol, self.atol = rtol, atol
-        f = fun(self.t, y0, *args)
-        self.h_abs = _initial_step(fun, args, self.t, y0, t_bound, f, rtol, atol)
-        self.nfev = 2
         self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
-        self.system = _iteration(jac(self.t, y0, *args))
+
+    def start(self):
+        """Evaluate the first step size, differences and Jacobian."""
+        y0 = self.y
+        f = yield _FUN, self.t, y0
+        self.h_abs = yield from _initial_step(self.t, y0, self.t_bound, f, self.rtol,
+                                              self.atol)
+        self.nfev = 2
+        self.system = _iteration((yield _JAC, self.t, y0))
         self.njev = 1
         self.nlu = 0
         # zeros, not empty: the first step writes D[3] from D[2] before any
@@ -231,8 +213,8 @@ class _Stepper:
         except RuntimeError as exc:  # a non-finite or singular matrix
             raise IntegrationError(f"BDF integration failed: {exc}", self.t, self.y) from exc
 
-    def step(self) -> bool:
-        """One accepted step, or False when the step size underflows."""
+    def step(self):
+        """One accepted step; returns False when the step size underflows."""
         t = self.t
         D = self.D
 
@@ -278,15 +260,14 @@ class _Stepper:
                 if LU is None:
                     LU = self._factor(system, c)
 
-                converged, n_iter, y_new, d = _newton(
-                    self.fun, self.args, t_new, y_predict, c, psi, system, LU, scale,
-                    self.newton_tol)
+                converged, n_iter, y_new, d = yield from _newton(
+                    t_new, y_predict, c, psi, system, LU, scale, self.newton_tol)
                 self.nfev += n_iter
 
                 if not converged:
                     if current_jac:
                         break
-                    system = _iteration(self.jac(t_new, y_predict, *self.args))
+                    system = _iteration((yield _JAC, t_new, y_predict))
                     self.njev += 1
                     LU = None
                     current_jac = True
@@ -376,12 +357,55 @@ class _Stepper:
         return y
 
 
+def _check(t_end, rtol, atol, t_eval, y0, ndim):
+    # the arguments of a solve, checked in this order; returns (t_eval, y0,
+    # rtol) as used
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
+    if not (rtol > 0 and atol > 0):
+        raise ValueError("tolerances must be positive")
+    t_eval = np.array(t_eval, dtype=float)
+    if not (t_eval.ndim == 1 and t_eval.size and 0.0 <= t_eval[0] and t_eval[-1] <= t_end
+            and np.all(np.diff(t_eval) > 0.0)):
+        raise ValueError("sample times must be strictly increasing in [0, t_end]")
+    y0 = np.asarray(y0, dtype=float)
+    if not (y0.ndim == ndim and np.all(np.isfinite(y0))):
+        raise ValueError("the initial state must be a finite 1D array" if ndim == 1 else
+                         "the initial states must be a finite (K, n) array")
+    if rtol < 100 * EPS:
+        warnings.warn(f"rtol is too small; setting rtol = {100 * EPS}", stacklevel=3)
+        rtol = 100 * EPS
+    return t_eval, y0, rtol
+
+
+def _integrate(y0, t_end, rtol, atol, t_eval):
+    """One whole solve as a generator of requests; returns (t, samples,
+    counters)."""
+    stepper = _Stepper(y0, t_end, rtol, atol)
+    yield from stepper.start()
+    samples = np.empty((y0.size, t_eval.size))
+    done = 0
+    # like solve_ivp, step on to t_end even past the last sample
+    while stepper.t < stepper.t_bound:
+        if not (yield from stepper.step()):
+            raise IntegrationError("BDF integration failed: Required step size is less than "
+                                   "spacing between numbers.", stepper.t, stepper.y)
+        reached = np.searchsorted(t_eval, stepper.t, side="right")
+        if reached > done:
+            samples[:, done:reached] = stepper.interpolate(t_eval[done:reached])
+            done = reached
+    counters = {"nfev": stepper.nfev, "njev": stepper.njev, "nlu": stepper.nlu}
+    return t_eval, samples, counters
+
+
 def solve(fun, jac, y0, t_end, rtol, atol, t_eval, args=()):
     """Integrate ``y' = fun(t, y, *args)`` from t = 0 to ``t_end``.
 
-    ``jac(t, y, *args)`` returns the Jacobian, a dense array or a canonical
-    CSC matrix with its whole diagonal stored.  Returns ``(t, y, counters)``:
-    the sample times (a copy of ``t_eval``), the (n, nt) samples and the
+    ``jac(t, y, *args)`` returns the Jacobian: a dense array, or an object
+    whose ``factor(c)`` returns the LU factors of I - c J and whose
+    ``solve(LU, b)`` solves with them; ``factor`` raises RuntimeError on a
+    non-finite or singular matrix.  Returns ``(t, y, counters)``: the
+    sample times (a copy of ``t_eval``), the (n, nt) samples and the
     ``nfev``, ``njev`` and ``nlu`` counts.
 
     Raises
@@ -394,32 +418,61 @@ def solve(fun, jac, y0, t_end, rtol, atol, t_eval, args=()):
         When the step size underflows or the iteration matrix has no LU
         factors, with the time and state of the last accepted step.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("tolerances must be positive")
-    t_eval = np.array(t_eval, dtype=float)
-    if not (t_eval.ndim == 1 and t_eval.size and 0.0 <= t_eval[0] and t_eval[-1] <= t_end
-            and np.all(np.diff(t_eval) > 0.0)):
-        raise ValueError("sample times must be strictly increasing in [0, t_end]")
-    y0 = np.asarray(y0, dtype=float)
-    if not (y0.ndim == 1 and np.all(np.isfinite(y0))):
-        raise ValueError("the initial state must be a finite 1D array")
-    if rtol < 100 * EPS:
-        warnings.warn(f"rtol is too small; setting rtol = {100 * EPS}", stacklevel=2)
-        rtol = 100 * EPS
+    t_eval, y0, rtol = _check(t_end, rtol, atol, t_eval, y0, 1)
+    run = _integrate(y0, float(t_end), rtol, atol, t_eval)
+    try:
+        kind, t, y = next(run)
+        while True:
+            kind, t, y = run.send((fun if kind is _FUN else jac)(t, y, *args))
+    except StopIteration as stop:
+        return stop.value
 
-    stepper = _Stepper(fun, jac, args, y0, float(t_end), rtol, atol)
-    samples = np.empty((y0.size, t_eval.size))
-    done = 0
-    # like solve_ivp, step on to t_end even past the last sample
-    while stepper.t < stepper.t_bound:
-        if not stepper.step():
-            raise IntegrationError("BDF integration failed: Required step size is less than "
-                                   "spacing between numbers.", stepper.t, stepper.y)
-        reached = np.searchsorted(t_eval, stepper.t, side="right")
-        if reached > done:
-            samples[:, done:reached] = stepper.interpolate(t_eval[done:reached])
-            done = reached
-    counters = {"nfev": stepper.nfev, "njev": stepper.njev, "nlu": stepper.nlu}
-    return t_eval, samples, counters
+
+def solve_ensemble(fun, jac, y0, t_end, rtol, atol, t_eval, args, batch):
+    """Integrate K independent systems ``y_k' = f_k(t, y_k)`` from t = 0 to
+    ``t_end``, each exactly as :func:`solve` would.
+
+    ``y0`` holds the (K, n) initial states, ``args[k]`` the arguments of
+    system k, with which ``jac(t, y, *args[k])`` returns its Jacobian.
+    The systems advance in rounds: in each, every running system asks for
+    one derivative, and ``fun(t, y, *batch(rows))`` evaluates them all at
+    once, with ``rows`` the (m,) indices of the running systems, ``t`` their
+    (m,) times and ``y`` their (m, n) states; it returns the (m, n)
+    derivatives.  ``batch`` is called again only when a system finishes.
+    Jacobians are evaluated system by system, as each asks.
+
+    Returns one entry per system: ``(t, y, counters)`` as from
+    :func:`solve`, or the :class:`IntegrationError` that ended its solve
+    while the other systems went on.  Any other exception, from ``fun``,
+    ``jac`` or ``batch``, ends the whole call.
+    Raises ValueError as :func:`solve` does, before any solve.
+    """
+    t_eval, y0, rtol = _check(t_end, rtol, atol, t_eval, y0, 2)
+    runs = [_integrate(y, float(t_end), rtol, atol, t_eval.copy()) for y in y0]
+    results = [None] * len(runs)
+    requests = {}
+
+    def advance(k, value):
+        # resume system k with ``value``, serving its Jacobian requests,
+        # until it asks for a derivative or ends
+        try:
+            kind, t, y = runs[k].send(value)
+            while kind is _JAC:
+                kind, t, y = runs[k].send(jac(t, y, *args[k]))
+            requests[k] = t, y
+        except StopIteration as stop:
+            results[k] = stop.value
+        except IntegrationError as exc:
+            results[k] = exc
+
+    for k in range(len(runs)):
+        advance(k, None)
+    rows = ()
+    while requests:
+        if len(rows) != len(requests):  # systems only ever leave
+            rows = sorted(requests)
+            extra = batch(np.array(rows))
+        t, y = zip(*(requests.pop(k) for k in rows))
+        for k, f in zip(rows, fun(np.array(t), np.stack(y), *extra)):
+            advance(k, f)
+    return results

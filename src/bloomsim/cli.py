@@ -38,6 +38,7 @@ from .sensitivity import (
     SobolProblem,
     run_sensitivity,
     write_report_csv,
+    write_rows_csv,
 )
 from .solver1d import Field1D, Grid1D, integrate_1d, write_trajectory_csv
 from .solver2d import Field2D, simulate_2d
@@ -379,11 +380,13 @@ def _run_sobol(config, params, out_dir, seed, threads, base_dir):
     report = run_sensitivity(problem, N, seed, n_jobs=threads)
     report_path = out_dir / "sobol_indices.csv"
     write_report_csv(report, report_path)
+    rows_path = out_dir / "sobol_rows.csv"
+    write_rows_csv(report, rows_path)
     ranking = sorted(
         zip(report.factors, report.ST_mean.mean(axis=1)), key=lambda kv: -kv[1]
     )
     print("mean total-order ranking: " + ", ".join(f"{k}={v:.3f}" for k, v in ranking))
-    return [report_path], {
+    return [report_path, rows_path], {
         "ranking": [k for k, _ in ranking],
         "n_failed_blocks": report.n_failed_blocks,
         "row_failures": report.failures,

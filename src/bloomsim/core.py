@@ -14,10 +14,12 @@ called from any number of concurrent workers.
 The reaction terms have one implementation, the private array kernel
 ``_reaction_kernel``: the scalar :func:`reaction_rhs` and
 :func:`reaction_jacobian`, the 1D right-hand side and the 2D Newton step all
-call it.  The kernel also owns the growth quota, the one convention of every
-solver: the cell quota p/B, or q_hat where B <= EPS_B, clipped to the tube
-[Q_m, Q_M].  A cell without internal phosphorus therefore stops growing
-and only decays, as in the paper's extinction regime.
+call it.  It takes one :class:`ModelParams`, or the :class:`ParamColumns`
+of K of them, which evaluates K transect states in one call.  The kernel
+also owns the growth quota, the one convention of every solver: the cell
+quota p/B, or q_hat where B <= EPS_B, clipped to the tube [Q_m, Q_M].  A
+cell without internal phosphorus therefore stops growing and only decays,
+as in the paper's extinction regime.
 
 Nonlinear coefficients are evaluated at states clipped to >= 0 and the linear
 loss and exchange terms at the raw states.  Domain checks stay in the public
@@ -43,7 +45,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 __all__ = [
     "EPS_B",
@@ -513,27 +515,24 @@ class Transport:
         """T(v) as a canonical CSR matrix."""
         return self._stacked(self._values(v))
 
-    @cached_property
-    def _jacobian_layout(self):
-        # the CSC pattern of T plus nodal 3x3 blocks (the sorted distinct column-major
-        # keys of their entries) and the position in it of each of those entries
-        indices, indptr = self._pattern
-        N, n = self.shape[0], self.shape[0] // 3
-        a, b, i = np.indices((3, 3, n)).reshape(3, -1)
-        rows = np.repeat(np.arange(N), np.diff(indptr))
-        keys = np.r_[indices, b * n + i] * N + np.r_[rows, a * n + i]
-        pattern, position = np.unique(keys, return_inverse=True)
-        indptr = np.searchsorted(pattern, np.arange(N + 1) * N)
-        return pattern % N, indptr, np.split(position, [indices.size])
 
-    def jacobian(self, v, blocks: np.ndarray) -> csc_matrix:
-        """-T(v) plus the nodal 3x3 blocks (3, 3, n) of a reaction Jacobian,
-        in canonical CSC with the whole diagonal stored."""
-        indices, indptr, (from_transport, from_blocks) = self._jacobian_layout
-        data = np.zeros(indices.size)
-        data[from_transport] = -self._values(v)
-        data[from_blocks] += blocks.ravel()
-        return csc_matrix((data, indices, indptr), shape=self.shape)
+class ParamColumns:
+    """The constants that the reaction kernel reads, of K parameter sets at
+    once: each is a (K, 1) column, so the kernel evaluates K states of
+    shape (K, n) in one call.  Each value is read from its own
+    :class:`ModelParams` (the derived ``total_loss``, ``exchange`` and
+    ``q_hat`` included), so every row gets the bits of its solo call.
+    ``rows`` keeps the parameter sets, in order.
+    """
+
+    FIELDS = ("z_m", "k", "K_bg", "I_in", "H", "Q_m", "Q_M", "rho_m", "M", "r", "l",
+              "P_h", "P_in", "total_loss", "exchange", "q_hat")
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+        table = np.array([[getattr(p, name) for p in self.rows] for name in self.FIELDS])
+        for name, column in zip(self.FIELDS, table[:, :, None]):
+            setattr(self, name, column)
 
 
 class _Reactions(NamedTuple):
@@ -544,7 +543,9 @@ class _Reactions(NamedTuple):
 def _reaction_kernel(B, p, P, params: ModelParams, jacobian: bool = False) -> _Reactions:
     """The pointwise reaction terms, the only implementation of them.
 
-    Evaluates at nodewise arrays (or scalars) of B, p, P.  Growth is
+    Evaluates at nodewise arrays (or scalars) of B, p, P, with the
+    constants of one :class:`ModelParams`, or at (K, n) arrays with the
+    (K, 1) columns of a :class:`ParamColumns`.  Growth is
     ``r (1 - Q_m/q) h B`` with q the cell quota :func:`_quota` (p/B, q_hat
     where B <= EPS_B) clipped to [Q_m, Q_M].  Nonlinear coefficients see
     the states clipped to >= 0, so slightly negative trial iterates cannot

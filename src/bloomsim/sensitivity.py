@@ -24,6 +24,14 @@ In still water the advection scalars ``beta_B`` and ``beta_P`` do not enter
 the transect model, so design rows that differ only in them (each
 A_B^(beta_B) row and its A row) run the same model: each such group is
 evaluated once and every row in it gets that result or failure.
+
+The distinct rows are split, in design order, into consecutive chunks of
+:data:`CHUNK_ROWS`, and each chunk is one ensemble call of
+:func:`~bloomsim.solver1d.integrate_1d`: its rows advance together with
+one batched right-hand side per round, while each keeps its own step
+control, so every row gives the samples and counters of its solo run.
+With ``n_jobs > 1`` a process pool maps over the chunks.  The results
+therefore do not depend on ``n_jobs`` or on the chunking.
 """
 
 from __future__ import annotations
@@ -49,7 +57,11 @@ __all__ = [
     "estimate_indices",
     "run_sensitivity",
     "write_report_csv",
+    "write_rows_csv",
 ]
+
+#: Distinct design rows per ensemble solve (and per task of a process pool).
+CHUNK_ROWS = 64
 
 #: The five physical factors under study and their ranges.
 FACTOR_NAMES = ("z_m", "K_bg", "D", "P_in", "beta_B")
@@ -123,6 +135,18 @@ class SobolProblem:
     @property
     def d(self) -> int:
         return len(self.names)
+
+    def sample_times(self) -> np.ndarray:
+        """The times at which a row samples biomass: every ``sample_every``
+        days from 0, and the horizon."""
+        times = np.arange(0.0, self.horizon + 1e-9, self.sample_every)
+        if times[-1] < self.horizon:
+            times = np.append(times, self.horizon)
+        return times
+
+    def row_params(self, values) -> ModelParams:
+        """The parameters of the design row with factor ``values``."""
+        return self.base_params.replace(**dict(zip(self.names, values)))
 
     def bin_edges(self) -> np.ndarray:
         edges = list(np.arange(0.0, self.horizon, self.bin_days))
@@ -239,6 +263,8 @@ class SensitivityReport:
     flags: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)  # (row, message) of each failed row
     counters: dict = field(default_factory=dict)  # solves and summed nfev, njev, nlu
+    # (row, owner, counters or None, message or None) of each design row
+    rows: list = field(default_factory=list)
 
     @property
     def n_bins(self) -> int:
@@ -262,45 +288,58 @@ def _row_owners(problem: SobolProblem, samples: np.ndarray) -> list[int]:
     return [first.setdefault(tuple(row), i) for i, row in enumerate(samples[:, inert].tolist())]
 
 
+def _integrate_rows(problem: SobolProblem, params):
+    """The year-long transect run of one parameter set, or the ensemble run
+    of a sequence of them (see :func:`~bloomsim.solver1d.integrate_1d`)."""
+    return integrate_1d(
+        problem.initial,
+        problem.grid,
+        problem.wind,
+        params,
+        problem.horizon,
+        rtol=1e-6,
+        atol=1e-9,
+        sample_times=problem.sample_times(),
+        # not validated: at atol 1e-9 values undershoot the tube's 1e-10
+        # positivity bound (p = -6.2e-9 on row 3 of the N = 2, seed 3
+        # design), and the bin means need only BDF's accuracy
+        validate=False,
+    )
+
+
 def _evaluate_row(args):
-    """Worker: run the transect model for one factor combination.
+    """Bin one row's run: ``args`` is (index, trajectory or exception,
+    problem).
 
     Returns ``(index, output, message, counters)``: the bin-averaged
     biomass per (bin, node), flattened, and the trajectory's solver
     counters, or ``None`` for both and the error message on failure.
     """
-    index, values, problem = args
-    try:
-        overrides = dict(zip(problem.names, values))
-        params = problem.base_params.replace(**overrides)
-        times = np.arange(0.0, problem.horizon + 1e-9, problem.sample_every)
-        if times[-1] < problem.horizon:
-            times = np.append(times, problem.horizon)
-        traj = integrate_1d(
-            problem.initial,
-            problem.grid,
-            problem.wind,
-            params,
-            problem.horizon,
-            rtol=1e-6,
-            atol=1e-9,
-            sample_times=times,
-            # not validated: at atol 1e-9 values undershoot the tube's 1e-10
-            # positivity bound (p = -6.2e-9 on row 3 of the N = 2, seed 3
-            # design), and the bin means need only BDF's accuracy
-            validate=False,
+    index, traj, problem = args
+    if isinstance(traj, Exception):
+        return index, None, f"{type(traj).__name__}: {traj}", None
+    edges = problem.bin_edges()
+    out = np.empty((len(edges) - 1, problem.Nx))
+    for b in range(len(edges) - 1):
+        last = b == len(edges) - 2
+        mask = (traj.t >= edges[b]) & (
+            traj.t <= edges[b + 1] if last else traj.t < edges[b + 1]
         )
-        edges = problem.bin_edges()
-        out = np.empty((len(edges) - 1, problem.Nx))
-        for b in range(len(edges) - 1):
-            last = b == len(edges) - 2
-            mask = (traj.t >= edges[b]) & (
-                traj.t <= edges[b + 1] if last else traj.t < edges[b + 1]
-            )
-            out[b] = traj.B[:, mask].mean(axis=1)
-        return index, out.ravel(), None, traj.counters
+        out[b] = traj.B[:, mask].mean(axis=1)
+    return index, out.ravel(), None, traj.counters
+
+
+def _evaluate_chunk(args):
+    """Worker: run a chunk of (index, factor values) design rows as one
+    ensemble and bin each row (:func:`_evaluate_row`)."""
+    rows, problem = args
+    try:
+        runs = _integrate_rows(problem, [problem.row_params(values) for _, values in rows])
     except Exception as exc:  # noqa: BLE001 - row failures are data, not bugs
-        return index, None, f"{type(exc).__name__}: {exc}", None
+        # anything but a row's own IntegrationError ends the whole ensemble,
+        # so every row of the chunk records it
+        runs = [exc] * len(rows)
+    return [_evaluate_row((i, run, problem)) for (i, _), run in zip(rows, runs)]
 
 
 def run_sensitivity(
@@ -320,20 +359,22 @@ def run_sensitivity(
     failure budget still counts every row.  The report's ``counters`` hold
     ``solves``, the number of rows evaluated, and the sums of the solver
     counters ``nfev``, ``njev`` and ``nlu`` over them (a failed solve adds
-    none).
-    The reduction is deterministic for fixed (problem, N, seed) regardless
-    of worker scheduling.
+    none); its ``rows`` hold each design row's owner, counters and failure
+    message.  The distinct rows run in ensembles of :data:`CHUNK_ROWS`, each
+    row as it would alone, so the report is the same for any ``n_jobs``.
     """
     design = saltelli_design(problem, N, seed)
     owners = _row_owners(problem, design.samples)
-    jobs = [(i, design.samples[i], problem) for i, owner in enumerate(owners) if owner == i]
+    distinct = [(i, design.samples[i]) for i, owner in enumerate(owners) if owner == i]
+    chunks = [(distinct[start:start + CHUNK_ROWS], problem)
+              for start in range(0, len(distinct), CHUNK_ROWS)]
     if n_jobs > 1:
         with Pool(n_jobs) as pool:
-            evaluated = pool.map(_evaluate_row, jobs, chunksize=8)
+            evaluated = list(itertools.chain(*pool.map(_evaluate_chunk, chunks, chunksize=1)))
     else:
-        evaluated = [_evaluate_row(job) for job in jobs]
-    results = {i: (out, msg) for i, out, msg, _ in evaluated}
-    raw = [(i, *results[owner]) for i, owner in enumerate(owners)]
+        evaluated = list(itertools.chain(*map(_evaluate_chunk, chunks)))
+    results = {i: (out, msg, c) for i, out, msg, c in evaluated}
+    raw = [(i, *results[owner][:2]) for i, owner in enumerate(owners)]
     counters = {key: sum(c[key] for *_, c in evaluated if c is not None)
                 for key in ("nfev", "njev", "nlu")}
     counters["solves"] = len(evaluated)
@@ -389,6 +430,8 @@ def run_sensitivity(
         flags=flags,
         failures=failures,
         counters=counters,
+        rows=[(i, owner, results[owner][2], results[owner][1])
+              for i, owner in enumerate(owners)],
     )
 
 
@@ -399,3 +442,11 @@ def write_report_csv(report: SensitivityReport, path) -> None:
             for i, factor in enumerate(report.factors) for b in range(report.n_bins))
     header = ["factor", "bin_start", "bin_end", "S1_mean", "S1_sd", "ST_mean", "ST_sd", "N"]
     export_csv(rows, header, path)
+
+
+def write_rows_csv(report: SensitivityReport, path) -> None:
+    """One row per design row: its owner (the row whose solve it shares),
+    that solve's counters and its failure message (empty when it ran)."""
+    rows = ([i, owner, *(("", "", "") if c is None else (c["nfev"], c["njev"], c["nlu"])),
+             message or ""] for i, owner, c, message in report.rows)
+    export_csv(rows, ["row", "owner", "nfev", "njev", "nlu", "message"], path)

@@ -1,5 +1,6 @@
 """Config-driven runs: validation, outputs, manifests, reproducibility."""
 
+import csv
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import bloomsim.sensitivity
 import bloomsim.solver1d
 from bloomsim.cli import ConfigError, export_csv, load_config, main, run_config
 from bloomsim.core import QUOTA_B_FLOOR, default_params, q_hat
-from bloomsim.sensitivity import FACTOR_NAMES
+from bloomsim.sensitivity import FACTOR_NAMES, SobolProblem, _integrate_rows, saltelli_design
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -230,14 +231,15 @@ class TestSubcommands:
         assert json.loads((out1 / "manifest.json").read_text())["row_failures"] == []
 
     def test_sobol_manifest_records_row_failures(self, tmp_path, monkeypatch):
-        calls = []
+        solved = []
 
-        # row 18 is a B row: it has no still-water twin to share the failure
+        # the 19th row solved, row 18, is a B row: it has no still-water
+        # twin to share the failure
         def b_row_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
-            calls.append(1)
-            if len(calls) == 19:
-                raise RuntimeError("injected failure")
-            return _fn(*args, **kwargs)
+            runs = _fn(*args, **kwargs)
+            solved.extend(range(len(solved), len(solved) + len(runs)))
+            return [RuntimeError("injected failure") if k == 18 else run
+                    for k, run in zip(solved[-len(runs):], runs)]
 
         monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", b_row_fails)
         path = write_config(tmp_path, {
@@ -253,9 +255,11 @@ class TestSubcommands:
     def test_sobol_manifest_counters(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(*args, _fn=bloomsim.solver1d.rhs_1d, **kwargs):
-            calls.append(1)
-            return _fn(*args, **kwargs)
+        # rows run as one ensemble: each rhs_1d call evaluates every
+        # running row, with one time per row
+        def counted(t, *args, _fn=bloomsim.solver1d.rhs_1d, **kwargs):
+            calls.append(len(t))
+            return _fn(t, *args, **kwargs)
 
         path = write_config(tmp_path, {
             "params": {"r": 1.0, "P_h": 2.0},
@@ -273,9 +277,35 @@ class TestSubcommands:
         serial = counters(1)
         # still water: each beta_B cross-matrix row reuses its A row's solve
         assert serial["solves"] == 4 * (len(FACTOR_NAMES) + 1)
-        assert serial["nfev"] == len(calls) > 0
+        # one derivative per running row and round
+        assert serial["nfev"] == sum(calls) > 0
+        assert len(calls) < serial["nfev"]
         assert 0 < serial["njev"] <= serial["nlu"]
         assert parallel == serial
+
+    def test_sobol_rows_file(self, tmp_path):
+        body = {"Nx": 11, "horizon": 20.0, "bin_days": 10.0, "sample_every": 5.0}
+        path = write_config(tmp_path, {"params": {"r": 1.0, "P_h": 2.0},
+                                       "sobol": {"N": 2, **body}})
+        texts = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            run_config(path, "sobol", out, seed=3, threads=threads)
+            assert "sobol_rows.csv" in json.loads((out / "manifest.json").read_text())["outputs"]
+            texts.append((out / "sobol_rows.csv").read_text())
+        assert texts[0] == texts[1]
+        with open(tmp_path / "threads1" / "sobol_rows.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        problem = SobolProblem(base_params=default_params(r=1.0, P_h=2.0), **body)
+        samples = saltelli_design(problem, 2, 3).samples
+        assert [int(row["row"]) for row in rows] == list(range(len(samples)))
+        # each row's counters are those of its own solo run
+        for row, values in zip(rows, samples):
+            solo = _integrate_rows(problem, problem.row_params(values)).counters
+            assert {key: int(row[key]) for key in solo} == solo
+            assert row["message"] == ""
+        # in still water each beta_B cross-matrix row shares its A row's solve
+        assert [int(row["owner"]) for row in rows[12:]] == [0, 1]
 
     def test_manifest_hash_stable_and_config_echoed(self, tmp_path):
         body = {"params": CASE2, "stability": {"n_max": 3}}
@@ -451,6 +481,7 @@ class TestMain:
                          "stability": {"equilibrium": which}}, "stability")
           for which in ("extinction", "positive")],
         ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "wind": {"mode": "csv"}}}, "sim1d"),
+        ("sim1d", {"sim1d": {"Nx": 11, "t_end": 1.0, "L": float("inf")}}, "sim1d"),
     ], ids=["t_end", "r-type", "r-domain", "Nx", "wind-period", "range", "initial",
             "ode-t_end-sign", "ode-rtol", "ode-atol", "ode-initial-quota", "sim1d-t_end-sign",
             "sim1d-rtol", "sim1d-atol", "sim2d-dt", "sim2d-output_times", "ode-samples-zero",
@@ -463,7 +494,7 @@ class TestMain:
             "sim2d-initial-B", "sim2d-initial-quota", "params-not-object", "ode-not-object",
             "sim2d-not-object", "wind-amplitude-nan", "wind-period-nan", "wind-phase-inf",
             "sobol-N-one", "sobol-range-endpoint", "stability-no-equilibrium-extinction",
-            "stability-no-equilibrium-positive", "wind-csv-missing"])
+            "stability-no-equilibrium-positive", "wind-csv-missing", "sim1d-L-inf"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, subcommand, body, section):
         path = write_config(tmp_path, {"params": CASE3, **body})
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),

@@ -13,9 +13,11 @@ import pytest
 import bloomsim.sensitivity
 from bloomsim.core import DomainError, default_params
 from bloomsim.sensitivity import (
+    CHUNK_ROWS,
     SensitivityReport,
     SobolProblem,
     _evaluate_row,
+    _integrate_rows,
     default_problem,
     estimate_indices,
     run_sensitivity,
@@ -184,23 +186,39 @@ class TestPipeline:
         assert np.array_equal(a.S1_mean, b.S1_mean)
         assert np.array_equal(a.ST_sd, b.ST_sd)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # two chunks of distinct rows, so the pool's two workers each run one
+        monkeypatch.setattr(bloomsim.sensitivity, "CHUNK_ROWS", 12)
         problem = default_problem(Nx=11, sample_every=20.0)
         serial = run_sensitivity(problem, N=4, seed=7, n_jobs=1)
         parallel = run_sensitivity(problem, N=4, seed=7, n_jobs=2)
-        assert np.array_equal(serial.S1_mean, parallel.S1_mean)
+        for name in ("S1_mean", "S1_sd", "ST_mean", "ST_sd"):
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+        assert serial.rows == parallel.rows and serial.counters == parallel.counters
+
+    def test_chunking_does_not_change_the_report(self, monkeypatch):
+        problem = default_problem(Nx=11, horizon=20.0, bin_days=10.0, sample_every=5.0)
+        whole = run_sensitivity(problem, N=4, seed=7, n_jobs=1)
+        assert len(whole.rows) == 28 and whole.counters["solves"] <= CHUNK_ROWS
+        monkeypatch.setattr(bloomsim.sensitivity, "CHUNK_ROWS", 5)
+        chunked = run_sensitivity(problem, N=4, seed=7, n_jobs=1)
+        for name in ("S1_mean", "S1_sd", "ST_mean", "ST_sd"):
+            assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+        assert whole.rows == chunked.rows
+
+    def test_rows_hold_each_rows_solo_counters(self):
+        problem = default_problem(Nx=11, horizon=20.0, bin_days=10.0, sample_every=5.0)
+        report = run_sensitivity(problem, N=2, seed=3, n_jobs=1)
+        samples = saltelli_design(problem, 2, 3).samples
+        assert [row[0] for row in report.rows] == list(range(len(samples)))
+        for i, owner, counters, message in report.rows:
+            solo = _integrate_rows(problem, problem.row_params(samples[i]))
+            assert counters == solo.counters and message is None
+            assert owner == i or report.rows[owner][1] == owner
 
     def test_widespread_row_failures_abort_with_report(self, monkeypatch):
         # failures in a third of the rows trip the 1% failure budget
-        calls = []
-
-        def every_third_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
-            calls.append(1)
-            if len(calls) % 3 == 0:
-                raise RuntimeError("injected failure")
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", every_third_fails)
+        _counting_integrate_1d(monkeypatch, fail=lambda count: count % 3 == 0)
         problem = default_problem(Nx=11, sample_every=20.0)
         with pytest.raises(RuntimeError, match="failed, aborting: .*injected failure"):
             run_sensitivity(problem, N=4, seed=1, n_jobs=1)
@@ -237,15 +255,7 @@ class TestPipeline:
         # Saltelli block and is kept, with its message, in the report.  The
         # failure is injected into a B row, which has no still-water twin
         # (the first 96 rows are each evaluated once, in order)
-        calls = []
-
-        def b_row_fails(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
-            calls.append(1)
-            if len(calls) == 22:
-                raise RuntimeError("injected failure")
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", b_row_fails)
+        _counting_integrate_1d(monkeypatch, fail=lambda count: count == 22)
         problem = default_problem(Nx=11, horizon=20.0, bin_days=10.0, sample_every=5.0)
         report = run_sensitivity(problem, N=16, seed=3, n_jobs=1)
         assert report.failures == [(21, "RuntimeError: injected failure")]
@@ -304,18 +314,21 @@ class TestPipeline:
             assert out.read_bytes() == expected.read_bytes()
 
 
-def _counting_integrate_1d(monkeypatch, fail_on=None):
-    # wrap the transect solver the rows call; the list grows by one per call
-    calls = []
+def _counting_integrate_1d(monkeypatch, fail=lambda count: False):
+    """Wrap the transect solver the rows call.  The returned list grows by
+    one per row it solves, and a row whose count ``fail`` accepts gets an
+    injected failure as its result."""
+    rows = []
 
     def counted(*args, _fn=bloomsim.sensitivity.integrate_1d, **kwargs):
-        calls.append(1)
-        if len(calls) == fail_on:
-            raise RuntimeError("injected failure")
-        return _fn(*args, **kwargs)
+        results = []
+        for run in _fn(*args, **kwargs):
+            rows.append(1)
+            results.append(RuntimeError("injected failure") if fail(len(rows)) else run)
+        return results
 
     monkeypatch.setattr(bloomsim.sensitivity, "integrate_1d", counted)
-    return calls
+    return rows
 
 
 class TestStillWaterTwins:
@@ -331,15 +344,16 @@ class TestStillWaterTwins:
 
     def test_one_solve_per_still_water_row_and_same_indices(self, monkeypatch):
         problem = self.problem()
+        # the oracle: every design row run alone and binned
+        design = saltelli_design(problem, self.N, self.SEED)
+        table = np.array([
+            _evaluate_row((i, _integrate_rows(problem, problem.row_params(row)), problem))[1]
+            for i, row in enumerate(design.samples)])
+
         calls = _counting_integrate_1d(monkeypatch)
         report = run_sensitivity(problem, N=self.N, seed=self.SEED, n_jobs=1)
         d = problem.d
         assert len(calls) == self.N * (d + 1)
-
-        # the oracle: every design row evaluated on its own
-        design = saltelli_design(problem, self.N, self.SEED)
-        table = np.array([_evaluate_row((i, row, problem))[1]
-                          for i, row in enumerate(design.samples)])
         S1, ST = estimate_indices(table, design)
         shape = (d, report.n_bins, problem.Nx)
         assert np.array_equal(report.S1_mean, S1.reshape(shape).mean(axis=2))
@@ -356,7 +370,7 @@ class TestStillWaterTwins:
     def test_twin_row_shares_its_owners_failure(self, monkeypatch):
         # row 0 (A) fails, and so does its twin in the beta_B cross matrix,
         # row (2 + 4) N; both count against the 1% budget
-        _counting_integrate_1d(monkeypatch, fail_on=1)
+        _counting_integrate_1d(monkeypatch, fail=lambda count: count == 1)
         twin = 6 * self.N
         with pytest.raises(RuntimeError) as exc:
             run_sensitivity(self.problem(), N=self.N, seed=self.SEED, n_jobs=1)

@@ -27,6 +27,7 @@ from bloomsim.core import (
 )
 from bloomsim.ode import IntegrationError, Trajectory, integrate_homogeneous
 from bloomsim.solver1d import (
+    BANDS,
     Field1D,
     Grid1D,
     _jacobian_1d,
@@ -55,6 +56,11 @@ class TestGrid:
     def test_nan_length(self):
         with pytest.raises(ValueError, match="L must be positive"):
             Grid1D(np.nan, 11)
+
+    @pytest.mark.parametrize("L", [np.inf, 1e309, -np.inf])
+    def test_infinite_length(self, L):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            Grid1D(L, 11)
 
 
 class TestRhs:
@@ -137,18 +143,28 @@ def jacobian_pattern(Nx):
     return S
 
 
+def interleaved(S):
+    """A flat (B, p, P)-ordered matrix in node-interleaved order."""
+    n = S.shape[0] // 3
+    order = np.arange(3 * n).reshape(3, n).T.ravel()
+    return S[np.ix_(order, order)]
+
+
 @pytest.mark.parametrize("Nx", [3, 41, 101])
 def test_jac_sparsity_matches_loop_construction(Nx, params_case3):
-    # the stored pattern, explicit zeros included, whatever the wind and
-    # the movement table; canonical CSC with the whole diagonal stored
+    # whatever the wind and the movement table, the Jacobian has no entry
+    # outside the pattern, and the pattern in node-interleaved order lies
+    # in the band of BANDS sub- and superdiagonals that the storage holds
     grid = Grid1D(1000.0, Nx)
     y = Field1D.bump(grid, P0=0.2).stack()
+    pattern = jacobian_pattern(Nx)
     for v, params in ((20.0, params_case3), (-20.0, params_case3),
                       (0.0, params_case3.replace(alpha=0.0, beta=0.0, beta_B=0.0))):
         J = _jacobian_1d(0.0, y, grid, lambda t, v=v: (v, 0.0), params)
-        assert J.format == "csc" and J.has_canonical_format
-        J.data[:] = 1.0  # an explicit zero counts as stored
-        assert np.array_equal(J.toarray() == 1.0, jacobian_pattern(Nx))
+        assert J.values.shape == (2 * BANDS + 1, 3 * Nx)
+        assert not J.toarray()[~pattern].any()
+    rows, cols = np.nonzero(interleaved(pattern))
+    assert np.abs(rows - cols).max() == BANDS
 
 
 FIELDS = "BpP"
@@ -264,9 +280,7 @@ class TestExactJacobian:
     def test_blocks_match_differences(self, case):
         params, v, grid, y = case
         wind = lambda t: (v, 0.0)  # noqa: E731
-        J = _jacobian_1d(0.0, y, grid, wind, params)
-        assert J.format == "csc"
-        J = J.toarray()
+        J = _jacobian_1d(0.0, y, grid, wind, params).toarray()
         reference = difference_jacobian(y, grid, wind, params)
         Nx = grid.Nx
         for a in range(3):
@@ -284,7 +298,39 @@ class TestExactJacobian:
         grid = Grid1D(1000.0, 41)
         y = Field1D.bump(grid, P0=0.2).stack()
         J = _jacobian_1d(0.0, y, grid, as_wind(SyntheticWind(40.0, 9.0)), params_case3)
-        assert J.nnz == jacobian_pattern(grid.Nx).sum() == 609
+        pattern = jacobian_pattern(grid.Nx)
+        assert pattern.sum() == 609
+        assert not J.toarray()[~pattern].any() and J.toarray()[pattern].any()
+
+    @pytest.mark.parametrize("Nx", [3, 41, 101])
+    @pytest.mark.parametrize("v", [0.0, 20.0, -20.0])
+    def test_band_matches_differences_of_rhs(self, Nx, v, params_case3):
+        # the whole band Jacobian, in flat order, against central
+        # differences of rhs_1d at a positive bump state (no kinks near)
+        grid = Grid1D(1000.0, Nx)
+        y = Field1D.bump(grid, P0=0.2).stack()
+        wind = lambda t: (v, 0.0)  # noqa: E731
+        J = _jacobian_1d(0.0, y, grid, wind, params_case3).toarray()
+        reference = difference_jacobian(y, grid, wind, params_case3)
+        assert np.abs(J - reference).max() <= 1e-7 * np.abs(J).max()
+
+    @pytest.mark.parametrize("c", [1e-3, 0.7, 40.0])
+    def test_factor_and_solve_match_dense_solve(self, c, params_case3, rng):
+        grid = Grid1D(1000.0, 41)
+        y = Field1D.bump(grid, P0=0.2).stack()
+        J = _jacobian_1d(0.0, y, grid, as_wind(SyntheticWind(40.0, 9.0)), params_case3)
+        b = rng.standard_normal(3 * grid.Nx)
+        expected = np.linalg.solve(np.identity(3 * grid.Nx) - c * J.toarray(), b)
+        got = J.solve(J.factor(c), b.copy())
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    def test_factor_rejects_a_non_finite_matrix(self, params_case3):
+        grid = Grid1D(1000.0, 11)
+        y = Field1D.bump(grid, P0=0.2).stack()
+        J = _jacobian_1d(0.0, y, grid, as_wind(None), params_case3)
+        J.values[BANDS, 4] = np.nan
+        with pytest.raises(RuntimeError, match="not finite"):
+            J.factor(0.5)
 
     def test_windy_run_matches_difference_jacobian_path(self, params_case3):
         # the finite-difference path the exact Jacobian replaced: BDF given
@@ -301,7 +347,7 @@ class TestExactJacobian:
                             sample_times=times)
         oracle = solve_ivp(
             rhs_1d, (0.0, 30.0), f0.stack(), method="BDF", rtol=rtol, atol=atol, t_eval=times,
-            jac_sparsity=_jacobian_1d(0.0, f0.stack(), grid, wind, params_case3),
+            jac_sparsity=jacobian_pattern(grid.Nx),
             args=(grid, wind, params_case3),
         )
         converged = integrate_1d(f0, grid, wind, params_case3, 30.0, rtol=1e-12, atol=1e-14,
